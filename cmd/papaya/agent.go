@@ -22,12 +22,9 @@ func runAgent(args []string) {
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address for this agent")
 	advertise := fs.String("advertise", "", "public base URL peers should use (default http://<listen> or tcp://<listen>)")
 	coordURL := fs.String("coordinator", "", "base URL of the papaya serve process (required; a tcp:// URL selects the raw-TCP fabric)")
-	stream := fs.Bool("stream", false, "route calls toward the coordinator over persistent streaming sessions (http backend; tcp always streams)")
 	ackElide := fs.Bool("ack-elide", true, "send non-final streamed upload chunks without per-chunk acknowledgements toward peers that negotiated the capability (serving elided peers is always on)")
 	coordName := fs.String("coordinator-name", "coordinator", "coordinator node name")
 	name := fs.String("name", "", "aggregator node name (default agent-<pid>)")
-	codec := fs.String("codec", "gob", "preferred wire codec: gob|json|bin (bin negotiates per peer; gob remains the universal fallback)")
-	compressName := fs.String("compress", "", "wire compression codec for RPC bodies toward /v2/ peers: none|streamed|flate (heartbeat checkpoints are the win here)")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "heartbeat cadence (match the server)")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
@@ -44,9 +41,8 @@ func runAgent(args []string) {
 	// The agent speaks whatever backend the coordinator URL names, so one
 	// flag covers both deployments.
 	fabric, err := newFabric(fabricSpec{
-		kind: fabricKindForURL(*coordURL), listen: *listen, codec: *codec,
-		advertise: *advertise, compress: *compressName, stream: *stream,
-		ackElide: *ackElide, seed: 1,
+		kind: fabricKindForURL(*coordURL), listen: *listen,
+		advertise: *advertise, ackElide: *ackElide, seed: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -4,9 +4,8 @@ package main
 // can run the control plane over either networked backend — stdlib HTTP
 // (the default) or the raw-TCP streaming fabric — behind one flag surface:
 // `-fabric http|tcp` on serve and agent, and URL-scheme inference on
-// loadtest (`-server tcp://host:port` picks the TCP backend). `-stream`
-// additionally routes calls over persistent streaming sessions on the
-// HTTP backend (TCP streams by construction).
+// loadtest (`-server tcp://host:port` picks the TCP backend). Both
+// backends carry every call as bin frames over streaming sessions.
 
 import (
 	"fmt"
@@ -23,8 +22,6 @@ import (
 type fabricConn interface {
 	transport.Fabric
 	BaseURL() string
-	CodecName() string
-	CompressName() string
 	Nodes() []string
 	Routes() map[string]string
 	Close() error
@@ -37,10 +34,7 @@ type fabricConn interface {
 type fabricSpec struct {
 	kind      string // "http" or "tcp"
 	listen    string
-	codec     string
 	advertise string
-	compress  string
-	stream    bool
 	ackElide  bool
 	seed      int64
 }
@@ -50,14 +44,13 @@ func newFabric(spec fabricSpec) (fabricConn, error) {
 	switch spec.kind {
 	case "http", "":
 		return httptransport.New(httptransport.Options{
-			Listen: spec.listen, Codec: spec.codec, AdvertiseURL: spec.advertise,
-			Compress: spec.compress, Stream: spec.stream, AckElide: spec.ackElide,
-			Seed: spec.seed,
+			Listen: spec.listen, AdvertiseURL: spec.advertise,
+			AckElide: spec.ackElide, Seed: spec.seed,
 		})
 	case "tcp":
 		return tcptransport.New(tcptransport.Options{
-			Listen: spec.listen, Codec: spec.codec, AdvertiseAddr: spec.advertise,
-			Compress: spec.compress, AckElide: spec.ackElide, Seed: spec.seed,
+			Listen: spec.listen, AdvertiseAddr: spec.advertise,
+			AckElide: spec.ackElide, Seed: spec.seed,
 		})
 	default:
 		return nil, fmt.Errorf("unknown fabric %q (want http|tcp)", spec.kind)

@@ -36,8 +36,7 @@ func runFleet(args []string) {
 	nClients := fs.Int("clients", 64, "concurrent simulated clients (top of the scaling curve)")
 	uploads := fs.Int("uploads", 300, "upload target across the scaling phases")
 	fabricKind := fs.String("fabric", "http", "transport backend: http or tcp")
-	stream := fs.Bool("stream", false, "streamed sessions end to end: client->selector and selector->agent")
-	codec := fs.String("codec", "gob", "wire codec: gob|json|bin")
+	stream := fs.Bool("stream", false, "clients pin one streaming session per participation (client.Runtime.Stream)")
 	numParams := fs.Int("params", 256, "model size (elements)")
 	goal := fs.Int("goal", 8, "aggregation goal K")
 	concurrency := fs.Int("concurrency", 128, "task concurrency ceiling")
@@ -61,22 +60,15 @@ func runFleet(args []string) {
 	}
 	stopAt := time.Now().Add(*timeout)
 
-	streamArgs := func(base []string) []string {
-		if *stream {
-			return append(base, "-stream")
-		}
-		return base
-	}
-
 	// --- Tier 1: the coordinator, with no in-process aggregators or
 	// selectors — the fleet supplies both tiers as separate processes.
-	coord, err := fleet.Spawn("coord", bin, streamArgs([]string{
+	coord, err := fleet.Spawn("coord", bin, []string{
 		"serve", "-listen", "127.0.0.1:0", "-fabric", *fabricKind,
-		"-codec", *codec, "-aggregators", "0", "-selectors", "0",
+		"-aggregators", "0", "-selectors", "0",
 		"-params", fmt.Sprint(*numParams), "-goal", fmt.Sprint(*goal),
 		"-concurrency", fmt.Sprint(*concurrency),
 		"-obs-listen", "127.0.0.1:0",
-	}), os.Stderr)
+	}, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -131,18 +123,17 @@ func runFleet(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	// "papaya serve: listening on URL (codec NAME)"
+	// "papaya serve: listening on URL"
 	coordURL := strings.Fields(line)[4]
 
 	// --- Tier 2: aggregator agents. The coordinator's create-task loop is
 	// blocked until the first one registers.
 	agentProc := make(map[string]*fleet.Proc, *nAgents)
 	spawnAgent := func(name string) (*fleet.Proc, error) {
-		p, err := fleet.Spawn(name, bin, streamArgs([]string{
+		p, err := fleet.Spawn(name, bin, []string{
 			"agent", "-coordinator", coordURL, "-listen", "127.0.0.1:0",
-			"-name", name, "-codec", *codec,
-			"-obs-listen", "127.0.0.1:0",
-		}), os.Stderr)
+			"-name", name, "-obs-listen", "127.0.0.1:0",
+		}, os.Stderr)
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +162,10 @@ func runFleet(args []string) {
 	selProc := make(map[string]*fleet.Proc, *nSels)
 	for i := 0; i < *nSels; i++ {
 		name := fmt.Sprintf("sel-%d", i)
-		p, err := fleet.Spawn(name, bin, streamArgs([]string{
+		p, err := fleet.Spawn(name, bin, []string{
 			"selector", "-coordinator", coordURL, "-listen", "127.0.0.1:0",
-			"-name", name, "-codec", *codec, "-refresh", "250ms",
-			"-obs-listen", "127.0.0.1:0",
-		}), os.Stderr)
+			"-name", name, "-refresh", "250ms", "-obs-listen", "127.0.0.1:0",
+		}, os.Stderr)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -193,8 +183,7 @@ func runFleet(args []string) {
 	// reachable from one Discover; capabilities still need a direct visit
 	// per base URL, which discoverGossiped does.
 	fab, err := newFabric(fabricSpec{
-		kind: *fabricKind, listen: "127.0.0.1:0", codec: *codec,
-		stream: *stream, ackElide: true, seed: 7,
+		kind: *fabricKind, listen: "127.0.0.1:0", ackElide: true, seed: 7,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -229,7 +218,6 @@ func runFleet(args []string) {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Fabric:      *fabricKind,
 		Stream:      *stream,
-		Codec:       *codec,
 		Agents:      *nAgents,
 		Selectors:   *nSels,
 		Clients:     *nClients,

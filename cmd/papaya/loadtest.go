@@ -46,7 +46,6 @@ type loadRun struct {
 	Server           string `json:"server"`
 	Fabric           string `json:"fabric,omitempty"`
 	Stream           bool   `json:"stream,omitempty"`
-	Codec            string `json:"codec"`
 	AckElide         bool   `json:"ack_elide,omitempty"`
 	Compress         string `json:"compress,omitempty"`
 	Train            bool   `json:"train,omitempty"`
@@ -172,13 +171,12 @@ func (f fixedDeltaExecutor) Train(params []float32, examples [][]int) ([]float32
 func runLoadtest(args []string) {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	serverURL := fs.String("server", "http://127.0.0.1:7070", "base URL of the papaya serve process (a tcp:// URL selects the raw-TCP fabric)")
-	stream := fs.Bool("stream", false, "one streaming connection per session: pipeline check-in through upload over it (negotiated; /v1/ servers degrade to per-call)")
-	ackElide := fs.Bool("ack-elide", true, "with -stream: send non-final upload chunks without per-chunk acknowledgements when the peer negotiated the capability (/v1 and non-stream peers keep per-chunk acks)")
+	stream := fs.Bool("stream", false, "one streaming connection per session: pipeline check-in through upload over it")
+	ackElide := fs.Bool("ack-elide", true, "with -stream: send non-final upload chunks without per-chunk acknowledgements when the peer negotiated the capability")
 	task := fs.String("task", "default", "task ID to drive")
 	clients := fs.Int("clients", 16, "concurrent simulated clients")
 	uploads := fs.Int("uploads", 200, "successful upload target (run ends when reached)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "abort if the target is not reached in time")
-	codec := fs.String("codec", "gob", "wire codec: gob|json|bin (bin negotiates the binary fast path with /v2/ servers and falls back to gob otherwise)")
 	compressFlag := fs.String("compress", "", "upload codecs clients offer: empty = all registered, \"none\" = opt out, or one codec name (server picks per task)")
 	train := fs.Bool("train", false, "run real local SGD (internal/nn log-bilinear) instead of a fixed delta, so deltas — and compression ratios — are realistic")
 	vocab := fs.Int("vocab", 16, "with -train: model vocabulary (params = 2*vocab*dim + vocab, must equal the task's -params)")
@@ -218,8 +216,8 @@ func runLoadtest(args []string) {
 	}
 
 	fabric, err := newFabric(fabricSpec{
-		kind: fabricKindForURL(*serverURL), listen: "127.0.0.1:0", codec: *codec,
-		compress: *compressFlag, stream: *stream, ackElide: *ackElide, seed: 2,
+		kind: fabricKindForURL(*serverURL), listen: "127.0.0.1:0",
+		ackElide: *ackElide, seed: 2,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -235,7 +233,7 @@ func runLoadtest(args []string) {
 	// hosted in the serve process appear in its own node list; a standalone
 	// selector tier (`papaya selector`) is reached through the routes the
 	// coordinator gossips — discoverGossiped also visits each routed fabric
-	// so its capability document (stream, bin) is on hand.
+	// so its capability document is on hand.
 	var selectors []string
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -540,7 +538,6 @@ func runLoadtest(args []string) {
 		Server:               *serverURL,
 		Fabric:               fabricKindForURL(*serverURL),
 		Stream:               *stream,
-		Codec:                *codec,
 		AckElide:             *ackElide && *stream,
 		Compress:             negotiated,
 		Train:                *train,

@@ -112,11 +112,11 @@ func usage() {
   papaya all  [-scale small|paper] [-markdown]
   papaya sim  [-algo async|sync] [-concurrency N] [-goal K] [-overselect F] [-updates N] [-seed S] [-scale small|paper] [-workers W] [-shards K]
   papaya bench [-o FILE] [-workers 1,2,4] [-scale small|paper] [-updates N] [-concurrency N] [-goal K] [-seed S] [-gotest]
-  papaya serve [-listen H:P] [-fabric http|tcp] [-stream] [-codec gob|json|bin] [-aggregators N] [-selectors M] [-task ID] [-mode async|sync] [-params N] [-concurrency N] [-goal K] [-secagg] [-dp-clip C] [-dp-noise Z] [-dp-epsilon-budget E] [-dp-local]
-  papaya agent -coordinator URL [-listen H:P] [-name NAME] [-codec gob|json|bin] [-stream]
-  papaya selector -coordinator URL [-listen H:P] [-name NAME] [-codec gob|json|bin] [-stream] [-refresh D]
+  papaya serve [-listen H:P] [-fabric http|tcp] [-aggregators N] [-selectors M] [-task ID] [-mode async|sync] [-params N] [-concurrency N] [-goal K] [-secagg] [-dp-clip C] [-dp-noise Z] [-dp-epsilon-budget E] [-dp-local]
+  papaya agent -coordinator URL [-listen H:P] [-name NAME]
+  papaya selector -coordinator URL [-listen H:P] [-name NAME] [-refresh D]
   papaya fleet [-agents N] [-selectors M] [-clients K] [-uploads N] [-fabric http|tcp] [-stream] [-kill-agent] [-kill-selector] [-o FILE]
-  papaya loadtest [-server URL] [-stream] [-clients K] [-uploads N] [-codec gob|json|bin] [-scenario FILE] [-o FILE]
+  papaya loadtest [-server URL] [-stream] [-clients K] [-uploads N] [-scenario FILE] [-o FILE]
   papaya scenario -file FILE [-fabric inmem|http|tcp] [-stream] [-aggregation fedavg|fedbuff|fedprox] [-mode async|sync] [-workers W] [-o FILE]
   papaya trace -from URL[,URL...] [-trace ID]
   papaya secagg-demo

@@ -19,8 +19,6 @@ func runScenario(args []string) {
 	file := fs.String("file", "", "scenario profile JSON (see examples/scenarios/)")
 	fabricKind := fs.String("fabric", "inmem", "in-process fabric: inmem|http|tcp")
 	stream := fs.Bool("stream", false, "route sessions over streaming connections (http fabric; tcp streams by construction)")
-	codec := fs.String("codec", "gob", "wire codec for http/tcp fabrics: gob|json|bin")
-	compressFlag := fs.String("compress", "", "wire compression for http/tcp fabrics (e.g. streamed)")
 	workers := fs.Int("workers", 0, "driver concurrency; 0 = one worker per client")
 	aggregation := fs.String("aggregation", "", "override the profile's aggregation rule: fedavg|fedbuff|fedprox")
 	aggParam := fs.Float64("agg-param", 0, "override the rule parameter (fedbuff exponent, fedprox mu); 0 keeps the rule default")
@@ -60,8 +58,7 @@ func runScenario(args []string) {
 		fabric = transport.NewNetwork(int64(spec.Seed))
 	case "http", "tcp":
 		f, err := newFabric(fabricSpec{
-			kind: *fabricKind, listen: "127.0.0.1:0", codec: *codec,
-			compress: *compressFlag, stream: *stream, seed: int64(spec.Seed),
+			kind: *fabricKind, listen: "127.0.0.1:0", seed: int64(spec.Seed),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "papaya scenario:", err)

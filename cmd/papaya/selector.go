@@ -26,12 +26,9 @@ func runSelector(args []string) {
 	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address for this selector")
 	advertise := fs.String("advertise", "", "public base URL peers should use (default http://<listen> or tcp://<listen>)")
 	coordURL := fs.String("coordinator", "", "base URL of the papaya serve process (required; a tcp:// URL selects the raw-TCP fabric)")
-	stream := fs.Bool("stream", false, "route forwarded calls over persistent streaming sessions (http backend; tcp always streams)")
 	ackElide := fs.Bool("ack-elide", true, "send non-final streamed upload chunks without per-chunk acknowledgements toward peers that negotiated the capability (serving elided peers is always on)")
 	coordName := fs.String("coordinator-name", "coordinator", "coordinator node name")
 	name := fs.String("name", "", "selector node name (default selector-<pid>)")
-	codec := fs.String("codec", "gob", "preferred wire codec: gob|json|bin (bin negotiates per peer; gob remains the universal fallback)")
-	compressName := fs.String("compress", "", "wire compression codec for RPC bodies toward /v2/ peers: none|streamed|flate")
 	refresh := fs.Duration("refresh", 250*time.Millisecond, "assignment-map and live-agent refresh cadence")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
@@ -46,9 +43,8 @@ func runSelector(args []string) {
 	}
 
 	fabric, err := newFabric(fabricSpec{
-		kind: fabricKindForURL(*coordURL), listen: *listen, codec: *codec,
-		advertise: *advertise, compress: *compressName, stream: *stream,
-		ackElide: *ackElide, seed: 1,
+		kind: fabricKindForURL(*coordURL), listen: *listen,
+		advertise: *advertise, ackElide: *ackElide, seed: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -72,7 +68,7 @@ func runSelector(args []string) {
 		os.Exit(1)
 	}
 	// Gossip carries routes, not capabilities: visit each gossiped fabric
-	// once so codec/stream negotiation toward it has a real document.
+	// once so ack-elision negotiation toward it has a real document.
 	discoverGossiped(fabric, *coordURL)
 
 	// Keep discovery fresh in the background: agents that join after us

@@ -28,9 +28,7 @@ func runServe(args []string) {
 	listen := fs.String("listen", "127.0.0.1:7070", "TCP listen address")
 	advertise := fs.String("advertise", "", "public base URL peers should use (default http://<listen> or tcp://<listen>)")
 	fabricKind := fs.String("fabric", "http", "transport backend: http (stdlib net/http) or tcp (raw-TCP streaming fabric)")
-	stream := fs.Bool("stream", false, "route internal control-plane calls over persistent streaming sessions (http backend; tcp always streams)")
 	ackElide := fs.Bool("ack-elide", true, "send non-final streamed upload chunks without per-chunk acknowledgements toward peers that negotiated the capability (serving elided peers is always on)")
-	codec := fs.String("codec", "gob", "preferred wire codec: gob|json|bin (every codec is always decoded; bin is sent only to peers that advertised it)")
 	nAggs := fs.Int("aggregators", 2, "in-process aggregators (0 = wait for remote agents)")
 	nSels := fs.Int("selectors", 2, "in-process selectors")
 	taskID := fs.String("task", "default", "task ID to create")
@@ -47,7 +45,7 @@ func runServe(args []string) {
 	dpBudget := fs.Float64("dp-epsilon-budget", 0, "central DP: refuse releases once one more would exceed this epsilon (0 = unlimited)")
 	dpLocal := fs.Bool("dp-local", false, "local DP: clients also noise their own deltas on-device")
 	dpSeed := fs.Uint64("dp-seed", 0, "deterministic DP noise seed, tests only (0 = crypto/rand, the safe default)")
-	compressName := fs.String("compress", "", "wire compression codec preferred for uploads: none|quantized|quantized16|streamed|flate (negotiated per client; /v1/ peers stay raw)")
+	compressName := fs.String("compress", "", "upload codec preferred for the task: none|quantized|quantized16|streamed|flate (negotiated per client)")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "aggregator heartbeat cadence")
 	obsListen := fs.String("obs-listen", "", "observability listen address (H:P): /metrics, /trace, /debug/vars, /debug/pprof; empty disables")
 	_ = fs.Parse(args)
@@ -71,8 +69,8 @@ func runServe(args []string) {
 	}
 
 	fabric, err := newFabric(fabricSpec{
-		kind: *fabricKind, listen: *listen, codec: *codec, advertise: *advertise,
-		compress: *compressName, stream: *stream, ackElide: *ackElide, seed: 1,
+		kind: *fabricKind, listen: *listen, advertise: *advertise,
+		ackElide: *ackElide, seed: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -136,7 +134,7 @@ func runServe(args []string) {
 	// Print the bound address before waiting for remote agents: a -listen
 	// :0 deployment (the fleet harness) must learn the URL to start the
 	// very agents the create-task loop below is waiting for.
-	fmt.Printf("papaya serve: listening on %s (codec %s)\n", fabric.BaseURL(), fabric.CodecName())
+	fmt.Printf("papaya serve: listening on %s\n", fabric.BaseURL())
 
 	// With -aggregators 0 the fleet is remote: task creation waits until the
 	// first `papaya agent` registers (placement needs a live aggregator).

@@ -145,13 +145,13 @@ type Result struct {
 	// session's spans across tiers.
 	TraceID uint64
 	// Traced reports whether the control plane echoed the trace ID at
-	// check-in — false means a /v1 (or untraced) selector handled the
+	// check-in — false means an untraced (or older) selector handled the
 	// session and server-side spans do not exist for it.
 	Traced bool
 	// RetryAfter is the server's back-off hint on a rejected check-in:
 	// how long the aggregator expects before a concurrency slot frees
-	// (derived from its session-close cadence). Zero means no hint — a
-	// /v1 control plane or a rejection with no signal — and the caller
+	// (derived from its session-close cadence). Zero means no hint — an
+	// older control plane or a rejection with no signal — and the caller
 	// falls back to its own jittered schedule.
 	RetryAfter time.Duration
 }
@@ -231,8 +231,8 @@ type Runtime struct {
 	// download, report, and every upload chunk pipeline over a single
 	// connection (transport.StreamFabric) instead of one call-scoped
 	// exchange each — the paper's long-lived virtual session realized at
-	// the transport (Section 6.1). Fabrics and peers without the stream
-	// capability degrade to per-call RPC transparently, and a broken
+	// the transport (Section 6.1). Fabrics without sessions (the
+	// in-memory Network) degrade to per-call RPC transparently, and a broken
 	// stream falls back to per-call failover through the remaining
 	// selectors, so enabling it is always safe.
 	Stream bool
@@ -500,7 +500,7 @@ func (p *participation) close() {
 // session-long connection the rest of the participation will ride.
 func (r *Runtime) checkin() (*participation, server.CheckinResponse, error) {
 	// Every attempt mints a trace ID (internal/obs): one uint64 on the
-	// cold control messages. A /v1 control plane drops the field and
+	// cold control messages. An older control plane drops the field and
 	// the session degrades to untraced server-side; client spans are
 	// recorded locally either way.
 	trace := obs.NextTraceID(r.ClientID)
@@ -572,8 +572,8 @@ func (p *participation) routeCall(taskID, method string, payload any) (any, erro
 }
 
 // elider returns the streaming session's ack-elision surface when this
-// participation negotiated it, nil otherwise (no stream, a /v1 peer, or a
-// backend without the capability) — the single gate the upload loops check
+// participation negotiated it, nil otherwise (no stream, a peer that did
+// not advertise the capability, or a backend without it) — the single gate the upload loops check
 // before switching to the elided chunk train.
 func (p *participation) elider() transport.ElidingSession {
 	if es, ok := p.sess.(transport.ElidingSession); ok && es.ElidesAcks() {

@@ -24,9 +24,9 @@
 // Codec choice is a negotiated capability, not a config constant: clients
 // offer the codecs they can encode (ReportRequest), the task spec names the
 // server's preference, and Negotiate picks the codec for one upload — a
-// peer that offers nothing (an old /v1/ build whose messages predate the
+// peer that offers nothing (an older build whose messages predate the
 // field) degrades to raw uploads automatically. See docs/DEPLOYMENT.md
-// "Wire compression".
+// "Upload compression".
 package compress
 
 import (
@@ -67,10 +67,6 @@ type Codec interface {
 	Name() string
 	// ID is the one-byte wire identifier carried in frame headers.
 	ID() byte
-	// Streams reports whether the codec includes a byte-stream (flate)
-	// stage; the HTTP transport uses it to decide whether to also deflate
-	// whole RPC bodies on the /v2/ route.
-	Streams() bool
 	// AppendFloats appends the payload encoding of src to dst.
 	AppendFloats(dst []byte, src []float32) ([]byte, error)
 	// DecodeFloats decodes a payload of n elements.
@@ -145,8 +141,8 @@ func namesLocked() []string { return allNames }
 
 // Negotiate picks the codec for one upload: the server's preferred codec if
 // the client offered it, otherwise "" (raw, uncompressed). A nil or empty
-// offer — an old peer whose messages predate the capability field — always
-// yields "", which is what keeps /v1/ peers interoperating untouched.
+// offer — a peer whose messages predate the capability field — always
+// yields "".
 func Negotiate(preferred string, offered []string) string {
 	if preferred == "" || preferred == "none" {
 		return ""
@@ -304,9 +300,6 @@ func (None) Name() string { return "none" }
 
 // ID implements Codec.
 func (None) ID() byte { return 1 }
-
-// Streams implements Codec.
-func (None) Streams() bool { return false }
 
 // AppendFloats implements Codec: 4 bytes per element, little-endian IEEE
 // 754 bits.

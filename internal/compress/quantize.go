@@ -32,9 +32,6 @@ func (Quantized) Name() string { return "quantized" }
 // ID implements Codec.
 func (Quantized) ID() byte { return 2 }
 
-// Streams implements Codec.
-func (Quantized) Streams() bool { return false }
-
 // AppendFloats implements Codec with 8-bit quantization.
 func (Quantized) AppendFloats(dst []byte, src []float32) ([]byte, error) {
 	return appendQuantized(dst, src, 8)
@@ -75,9 +72,6 @@ func (Quantized16) Name() string { return "quantized16" }
 
 // ID implements Codec.
 func (Quantized16) ID() byte { return 3 }
-
-// Streams implements Codec.
-func (Quantized16) Streams() bool { return false }
 
 // AppendFloats implements Codec with 16-bit quantization.
 func (Quantized16) AppendFloats(dst []byte, src []float32) ([]byte, error) {

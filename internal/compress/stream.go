@@ -1,9 +1,7 @@
 // The streaming stage: a DEFLATE layer composed over an inner codec's
 // payload. Quantization removes precision; flate then removes redundancy
 // (runs of identical quantized values, repeated byte patterns), which is
-// where the "streaming compression" half of the ROADMAP item lives. Codecs
-// whose Streams() is true also opt the HTTP transport into deflating whole
-// RPC bodies on the /papaya/v2/ route.
+// where the "streaming compression" half of the upload codecs lives.
 
 package compress
 
@@ -35,9 +33,6 @@ func (s Streamed) Name() string { return s.name }
 
 // ID implements Codec.
 func (s Streamed) ID() byte { return s.id }
-
-// Streams implements Codec.
-func (s Streamed) Streams() bool { return true }
 
 // AppendFloats implements Codec.
 func (s Streamed) AppendFloats(dst []byte, src []float32) ([]byte, error) {
@@ -95,25 +90,6 @@ func (s Streamed) DecodeUintsInto(dst []uint32, payload []byte) error {
 		return err
 	}
 	return s.inner.DecodeUintsInto(dst, inner)
-}
-
-// DeflateBytes compresses an opaque byte stream (an encoded wire frame)
-// with DEFLATE — the transport-level body stage of the /v2/ route.
-func DeflateBytes(b []byte) ([]byte, error) {
-	out, err := appendDeflated(nil, b)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InflateBytes reverses DeflateBytes, rejecting streams that inflate
-// beyond max bytes. Transport bodies have no element count to bound by,
-// so the caller must supply its own body limit — a deflate bomb must not
-// buy an attacker orders-of-magnitude memory amplification on an
-// unauthenticated route.
-func InflateBytes(b []byte, max int64) ([]byte, error) {
-	return inflateCapped(b, max)
 }
 
 func appendDeflated(dst, payload []byte) ([]byte, error) {

@@ -171,7 +171,6 @@ type Report struct {
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	Fabric      string `json:"fabric"`
 	Stream      bool   `json:"stream"`
-	Codec       string `json:"codec"`
 	Agents      int    `json:"agents"`
 	Selectors   int    `json:"selectors"`
 	Clients     int    `json:"clients"`

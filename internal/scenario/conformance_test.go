@@ -2,9 +2,9 @@ package scenario_test
 
 // The scenario conformance suite: every committed fleet profile crossed
 // with every aggregation rule, on every transport fabric. The in-memory
-// cells always run (they are the `-race` tier); the seven networked
-// fabrics are skipped under -short so `go test ./...` exercises the full
-// 8-fabric matrix while the race step stays fast.
+// cells always run (they are the `-race` tier); the two networked fabrics
+// are skipped under -short so `go test ./...` exercises the full matrix
+// while the race step stays fast.
 
 import (
 	"testing"
@@ -17,7 +17,7 @@ import (
 
 // scenarioFabric mirrors the backend table in internal/server's transport
 // conformance suite (which lives in another test package and cannot be
-// imported): same eight constructions, same names.
+// imported): same constructions, same names.
 type scenarioFabric struct {
 	name   string
 	stream bool
@@ -28,26 +28,11 @@ var scenarioFabrics = []scenarioFabric{
 	{name: "inmem", make: func(t *testing.T, seed int64) transport.Fabric {
 		return transport.NewNetwork(seed)
 	}},
-	{name: "http", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
-	}},
-	{name: "http-bin", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin"})
-	}},
-	{name: "http-deflate", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Compress: "streamed"})
-	}},
-	{name: "http-deflate-bin", make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed"})
-	}},
 	{name: "http-stream", stream: true, make: func(t *testing.T, seed int64) transport.Fabric {
-		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true})
+		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
 	}},
 	{name: "tcp", make: func(t *testing.T, seed int64) transport.Fabric {
 		return tcpFabric(t, tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
-	}},
-	{name: "tcp-bin-deflate", make: func(t *testing.T, seed int64) transport.Fabric {
-		return tcpFabric(t, tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed"})
 	}},
 }
 
@@ -99,7 +84,7 @@ const (
 )
 
 // TestScenarioConformance is the headline matrix: 3 committed profiles x
-// 3 aggregation rules x 8 fabrics, asserting convergence bounds,
+// 3 aggregation rules x 3 fabrics, asserting convergence bounds,
 // throughput floors, and report self-consistency for every cell.
 func TestScenarioConformance(t *testing.T) {
 	for _, fx := range scenarioFabrics {

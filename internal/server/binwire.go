@@ -1,7 +1,7 @@
 package server
 
-// The binary fast-path wire forms for the hot client-session messages
-// (wire versioning rule 4's "bin" capability). internal/server owns these
+// The hand-rolled wire.Binary forms for the hot client-session messages.
+// internal/server owns these
 // message types, so it owns their hand-rolled encoding too: fixed field
 // order, varint integers, length-prefixed strings, bulk little-endian
 // vector copies — no reflection anywhere. Cold control-plane messages
@@ -11,7 +11,7 @@ package server
 // report, chunked upload, and the selector route envelope around them.
 //
 // Decoders lease model-sized vectors (UploadChunk.Data/Masked) from
-// internal/vecpool; the HTTP transport returns them after the handler has
+// internal/vecpool; the transport returns them after the handler has
 // copied what it keeps (wire.BufferLease). Every decoder validates
 // declared lengths against the remaining frame before allocating, so a
 // hostile frame cannot buy a huge decode.

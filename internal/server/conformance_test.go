@@ -2,9 +2,8 @@ package server_test
 
 // The transport conformance suite: every integration, reconfiguration,
 // multi-tenant, and chunk-reassembly test in this package runs once per
-// backend — the deterministic in-memory transport.Network, real HTTP via
-// transport/httptransport (per-POST and streaming-session modes, with and
-// without the bin/deflate capabilities), and raw TCP via
+// backend — the deterministic in-memory transport.Network, HTTP streaming
+// sessions via transport/httptransport, and raw TCP via
 // transport/tcptransport — so every networked backend inherits the full
 // Appendix E.3/E.4 behaviour matrix (failover, recovery, routing, mode
 // switches) already proven on the in-memory fabric. Test bodies are shared
@@ -44,65 +43,14 @@ var fabricFactories = []fabricFactory{
 	{name: "inmem", make: func(t *testing.T, seed int64) testFabric {
 		return transport.NewNetwork(seed)
 	}},
-	{name: "http", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
-		if err != nil {
-			t.Fatalf("starting http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// The same HTTP backend with the binary fast-path codec preferred:
-	// every RPC of every conformance test crosses as bin frames on the
-	// /v2/ route (the fabric serves its own nodes, so the capability is
-	// always negotiated), proving the hand-rolled codec preserves the full
-	// behaviour matrix, with gob pinned as the /v1/ fallback by the
-	// bincodec tests in httptransport.
-	{name: "http-bin", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin",
-		})
-		if err != nil {
-			t.Fatalf("starting bin http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// The same HTTP backend with the wire-compression capability active:
-	// every RPC of every conformance test rides the /v2/ route with
-	// DEFLATE bodies, proving the negotiated path preserves the full
-	// failover/reconfigure/multitenant behaviour matrix, not just happy
-	// uploads.
-	{name: "http-deflate", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Compress: "streamed",
-		})
-		if err != nil {
-			t.Fatalf("starting deflating http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// Both capabilities at once: binary frames inside DEFLATE bodies.
-	{name: "http-deflate-bin", make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed",
-		})
-		if err != nil {
-			t.Fatalf("starting deflating bin http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
-	// The streaming-session capability: every RPC of every conformance
-	// test rides a cached /papaya/v2/stream connection (one per caller/
-	// callee pair) as length-prefixed bin frames instead of one POST per
-	// call, proving the streaming path preserves the full failover/
-	// reconfigure/multitenant behaviour matrix — including faults injected
+	// The HTTP backend: every RPC of every conformance test rides a
+	// pooled /papaya/v2/stream connection as length-prefixed bin frames,
+	// proving the streaming path preserves the full failover/reconfigure/
+	// multitenant behaviour matrix — including faults injected
 	// mid-stream.
 	{name: "http-stream", elides: true, make: func(t *testing.T, seed int64) testFabric {
 		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true, AckElide: true,
+			Listen: "127.0.0.1:0", Seed: seed, AckElide: true,
 		})
 		if err != nil {
 			t.Fatalf("starting streaming http fabric: %v", err)
@@ -112,7 +60,7 @@ var fabricFactories = []fabricFactory{
 	}},
 	// The raw-TCP fabric: no HTTP anywhere — pipelined wire frames over
 	// bare connections, with the same discovery/advertise and
-	// fault-injection semantics. Default (gob) codec configuration.
+	// fault-injection semantics.
 	{name: "tcp", elides: true, make: func(t *testing.T, seed int64) testFabric {
 		f, err := tcptransport.New(tcptransport.Options{
 			Listen: "127.0.0.1:0", Seed: seed, AckElide: true,
@@ -123,25 +71,13 @@ var fabricFactories = []fabricFactory{
 		t.Cleanup(func() { _ = f.Close() })
 		return f
 	}},
-	// Raw TCP with both negotiated capabilities: binary frames, large ones
-	// DEFLATE-compressed per frame.
-	{name: "tcp-bin-deflate", elides: true, make: func(t *testing.T, seed int64) testFabric {
-		f, err := tcptransport.New(tcptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed", AckElide: true,
-		})
-		if err != nil {
-			t.Fatalf("starting deflating bin tcp fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}},
 }
 
 // forEachFabric runs a conformance test body once per backend per selector
 // mode: direct (one fabric call per forwarded request, the classic
 // selector) and via-selector (the routing tier — pooled streamed sessions,
 // live-aggregator discovery, rendezvous route hints). The crossing proves
-// the routing tier is behaviour-compatible on every backend: all sixteen
+// the routing tier is behaviour-compatible on every backend: all six
 // cells inherit the full failover/recovery/reconfigure/multitenant matrix.
 func forEachFabric(t *testing.T, run func(t *testing.T, fx fabricFactory)) {
 	modes := []struct {

@@ -1,13 +1,12 @@
 package server_test
 
-// Ack-elision degradation conformance: the /v2 ack-elide stream capability
+// Ack-elision degradation conformance: the ack-elide stream capability
 // must change only the acknowledgement rhythm, never the outcome. Across
 // every fabric in the conformance matrix (direct and via-selector), a
 // streamed chunked upload must complete identically whether the backend
-// negotiated elision (http-stream, tcp, tcp-bin-deflate — non-final chunks
-// ride unacknowledged) or degraded to per-chunk acks (the in-memory
-// network, per-POST HTTP variants, and any peer that never advertised the
-// capability). The fabric counters prove which rhythm actually ran.
+// negotiated elision (http-stream, tcp — non-final chunks ride
+// unacknowledged) or degraded to per-chunk acks (the in-memory network).
+// The fabric counters prove which rhythm actually ran.
 
 import (
 	"crypto/rand"

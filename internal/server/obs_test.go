@@ -26,7 +26,7 @@ func obsCounter(sample string) float64 {
 	return obs.Default().Snapshot()[sample]
 }
 
-// TestTracePropagation asserts the tentpole invariant on all 8 fabrics x
+// TestTracePropagation asserts the tentpole invariant on every fabric x
 // {direct, via-selector}: one completed participation leaves spans from
 // all three tiers in the ring, all under the trace ID the client minted
 // and the control plane echoed.

@@ -28,18 +28,19 @@ func reaperTimings() server.Timings {
 	return tm
 }
 
-// reaperWorld is a minimal control plane with reaper-fast timings.
+// reaperWorld is a minimal control plane for the reaper tests.
 type reaperWorld struct {
 	t   *testing.T
 	net testFabric
+	agg *server.Aggregator
 }
 
-func newReaperWorld(t *testing.T, fx fabricFactory, spec server.TaskSpec) *reaperWorld {
+func newReaperWorld(t *testing.T, fx fabricFactory, spec server.TaskSpec, tm server.Timings) *reaperWorld {
 	t.Helper()
 	net := fx.make(t, 11)
-	coord := server.NewCoordinator("coordinator", net, reaperTimings(), 7, false)
-	agg := server.NewAggregator("agg", net, "coordinator", reaperTimings())
-	sel := newTestSelector("sel", net, "coordinator", reaperTimings(), fx)
+	coord := server.NewCoordinator("coordinator", net, tm, 7, false)
+	agg := server.NewAggregator("agg", net, "coordinator", tm)
+	sel := newTestSelector("sel", net, "coordinator", tm, fx)
 	t.Cleanup(func() {
 		sel.Stop()
 		agg.Stop()
@@ -51,7 +52,7 @@ func newReaperWorld(t *testing.T, fx fabricFactory, spec server.TaskSpec) *reape
 	if _, err := net.Call("test", "coordinator", "create-task", spec); err != nil {
 		t.Fatal(err)
 	}
-	return &reaperWorld{t: t, net: net}
+	return &reaperWorld{t: t, net: net, agg: agg}
 }
 
 func (w *reaperWorld) checkin(clientID int64) server.CheckinResponse {
@@ -157,7 +158,7 @@ func testSessionReaper(t *testing.T, fx fabricFactory) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			w := newReaperWorld(t, fx, reaperSpec("reap-"+tc.name, tc.useSecAgg, t))
+			w := newReaperWorld(t, fx, reaperSpec("reap-"+tc.name, tc.useSecAgg, t), reaperTimings())
 
 			baseF, baseU := vecpool.OutstandingFloats(), vecpool.OutstandingUints()
 			cr := w.checkin(1)
@@ -194,30 +195,45 @@ func testSessionReaper(t *testing.T, fx fabricFactory) {
 		})
 	}
 
+	// An active session survives every sweep that falls within the TTL of
+	// its last touch and is reaped by the first one past it. The sweeps run
+	// at chosen instants through ReapSessionsAt; the TTL is long enough
+	// that the heartbeat ticker's own sweeps never reap, so nothing depends
+	// on wall-clock timing.
 	t.Run("active-session-survives", func(t *testing.T) {
-		w := newReaperWorld(t, fx, reaperSpec("reap-active", false, t))
+		const ttl = time.Hour
+		tm := reaperTimings()
+		tm.SessionTTL = ttl
+		w := newReaperWorld(t, fx, reaperSpec("reap-active", false, t), tm)
 		cr := w.checkin(1)
 		if !cr.Accepted {
 			t.Fatalf("checkin rejected: %s", cr.Reason)
 		}
-		// Keep the session active at half the TTL for several sweeps: its
-		// chunks must keep being accepted.
-		for i := 0; i < 8; i++ {
-			ur := w.upload(server.UploadChunk{
+		chunk := func(i int) server.UploadResponse {
+			return w.upload(server.UploadChunk{
 				TaskID: cr.TaskID, SessionID: cr.SessionID,
 				Offset: (i % 3) * 37, Data: make([]float32, 37), NumExamples: 1,
 			})
-			if !ur.OK {
-				t.Fatalf("active session's chunk %d rejected: %s", i, ur.Reason)
-			}
-			time.Sleep(30 * time.Millisecond)
 		}
-		// Explicit cleanup, releasing the reassembly lease.
-		if _, err := w.net.Call("test", "sel", "route", server.RouteRequest{
-			TaskID: cr.TaskID, Method: "fail-session",
-			Payload: server.FailRequest{TaskID: cr.TaskID, SessionID: cr.SessionID},
-		}); err != nil {
-			t.Fatal(err)
+		// Each chunk touches the session at some instant in
+		// [before, after]. A sweep at before+ttl is within the TTL of that
+		// touch, but more than the TTL past every earlier touch (those all
+		// precede before), so the session survives it only because the
+		// chunk refreshed its idle clock; the next chunk's acceptance
+		// proves it did.
+		var after time.Time
+		for i := 0; i < 5; i++ {
+			before := time.Now()
+			if ur := chunk(i); !ur.OK {
+				t.Fatalf("chunk %d rejected after a sweep within the TTL: %s", i, ur.Reason)
+			}
+			after = time.Now()
+			w.agg.ReapSessionsAt(before.Add(ttl))
+		}
+		// A sweep just past the TTL of the last touch reaps it.
+		w.agg.ReapSessionsAt(after.Add(ttl + time.Nanosecond))
+		if ur := chunk(5); ur.OK || !strings.Contains(ur.Reason, "unknown session") {
+			t.Fatalf("session survived a sweep past its TTL: %+v", ur)
 		}
 	})
 }

@@ -129,8 +129,8 @@ type RouteRequest struct {
 
 	// TraceID is the session's trace ID (0 = untraced); the selector
 	// records a routing span for every forwarded in-session call under
-	// it. Cold field, zero-defaulted for /v1 callers (versioning rule
-	// 2).
+	// it. Cold field, zero-defaulted for callers that omit it
+	// (versioning rule 2).
 	TraceID uint64
 }
 

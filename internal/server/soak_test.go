@@ -285,37 +285,28 @@ func TestStreamSoak(t *testing.T) {
 
 	// Two of the three networked cells run the selector in routing mode, so
 	// the pooled-session tier soaks under the full 208-session concurrent
-	// load (and under -race in CI) while the others keep the direct-mode
-	// reference coverage.
+	// load (and under -race in CI) on both backends, while the direct tcp
+	// cell keeps the direct-mode reference coverage.
+	newHTTP := func(t *testing.T, seed int64) testFabric {
+		f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = f.Close() })
+		return f
+	}
+	newTCP := func(t *testing.T, seed int64) testFabric {
+		f, err := tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = f.Close() })
+		return f
+	}
 	backends := []fabricFactory{
-		{name: "http-stream", routing: true, make: func(t *testing.T, seed int64) testFabric {
-			f, err := httptransport.New(httptransport.Options{
-				Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}},
-		{name: "tcp", make: func(t *testing.T, seed int64) testFabric {
-			f, err := tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}},
-		{name: "tcp-bin-deflate", routing: true, make: func(t *testing.T, seed int64) testFabric {
-			f, err := tcptransport.New(tcptransport.Options{
-				Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Compress: "streamed",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}},
+		{name: "http-stream", routing: true, make: newHTTP},
+		{name: "tcp", make: newTCP},
+		{name: "tcp-routing", routing: true, make: newTCP},
 	}
 	for _, fx := range backends {
 		fx := fx
@@ -346,112 +337,6 @@ func TestStreamSoak(t *testing.T) {
 		goroutineBase, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
-// TestStreamBeatsPerChunkPost is the bench-compare gate (set
-// PAPAYA_BENCH_COMPARE=1): at 16k params, the streaming session path must
-// move more uploads/sec than the per-chunk POST path — on both the HTTP
-// streaming backend and raw TCP. This is the regression fence around the
-// reason the streaming fabric exists.
-func TestStreamBeatsPerChunkPost(t *testing.T) {
-	if os.Getenv("PAPAYA_BENCH_COMPARE") == "" {
-		t.Skip("set PAPAYA_BENCH_COMPARE=1 to run the stream-vs-POST comparison")
-	}
-	const (
-		benchParams  = 16384
-		benchUploads = 48
-		benchClients = 8
-	)
-	measure := func(name string, mk func() testFabric, stream bool) float64 {
-		t.Helper()
-		net := mk()
-		coord := server.NewCoordinator("coordinator", net, testTimings(), 7, false)
-		agg := server.NewAggregator("agg", net, "coordinator", testTimings())
-		sel := server.NewSelector("sel", net, "coordinator", testTimings())
-		defer func() {
-			sel.Stop()
-			agg.Stop()
-			coord.Stop()
-		}()
-		if _, err := net.Call("test", "coordinator", "register-aggregator", "agg"); err != nil {
-			t.Fatal(err)
-		}
-		spec := server.TaskSpec{
-			ID: "bench", Mode: core.Async, NumParams: benchParams,
-			Concurrency: benchClients * 2, AggregationGoal: 8, Capability: "lm",
-			InitParams: make([]float32, benchParams), UploadChunkSize: 4096,
-		}
-		if _, err := net.Call("test", "coordinator", "create-task", spec); err != nil {
-			t.Fatal(err)
-		}
-		delta := make([]float32, benchParams)
-		for i := range delta {
-			delta[i] = 0.001
-		}
-		var completed atomic.Int64
-		start := time.Now()
-		var wg sync.WaitGroup
-		for c := 0; c < benchClients; c++ {
-			wg.Add(1)
-			go func(id int64) {
-				defer wg.Done()
-				store := client.NewExampleStore(0, 0)
-				store.Add([]int{1, 2, 3}, time.Now())
-				dev := &client.Runtime{
-					ClientID: id, Capabilities: []string{"lm"},
-					Store: store, Exec: fixedExecutor{delta: delta},
-					Net: net, Selectors: []string{"sel"},
-					State:    client.DeviceState{Idle: true, Charging: true, Unmetered: true},
-					Random:   rand.Reader,
-					Compress: []string{"none"},
-					Stream:   stream,
-				}
-				for completed.Load() < benchUploads {
-					res, err := dev.RunOnce(time.Now())
-					if err == nil && res.Outcome == client.Completed {
-						completed.Add(1)
-					}
-				}
-			}(int64(100 + c))
-		}
-		wg.Wait()
-		rate := float64(completed.Load()) / time.Since(start).Seconds()
-		t.Logf("%s: %.1f uploads/sec at %d params", name, rate, benchParams)
-		return rate
-	}
-
-	newHTTP := func(stream bool) func() testFabric {
-		return func() testFabric {
-			f, err := httptransport.New(httptransport.Options{
-				Listen: "127.0.0.1:0", Codec: "bin", Stream: stream,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = f.Close() })
-			return f
-		}
-	}
-	newTCP := func() testFabric {
-		f, err := tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Codec: "bin"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
-	}
-
-	post := measure("http per-chunk POST", newHTTP(false), false)
-	httpStream := measure("http-stream", newHTTP(true), true)
-	tcpStream := measure("tcp", newTCP, true)
-	if httpStream <= post {
-		t.Fatalf("http streaming (%.1f/s) is not faster than per-chunk POST (%.1f/s) at %d params",
-			httpStream, post, benchParams)
-	}
-	if tcpStream <= post {
-		t.Fatalf("tcp streaming (%.1f/s) is not faster than per-chunk POST (%.1f/s) at %d params",
-			tcpStream, post, benchParams)
-	}
-}
-
 // TestElidedBeatsPerChunkAck is the v2 bench-compare gate (set
 // PAPAYA_BENCH_COMPARE=1): at 16k params on the TCP fabric, the
 // ack-eliding upload rhythm — non-final chunks unacknowledged, frames
@@ -471,7 +356,7 @@ func TestElidedBeatsPerChunkAck(t *testing.T) {
 	measure := func(name string, elide bool) float64 {
 		t.Helper()
 		f, err := tcptransport.New(tcptransport.Options{
-			Listen: "127.0.0.1:0", Codec: "bin", AckElide: elide,
+			Listen: "127.0.0.1:0", AckElide: elide,
 		})
 		if err != nil {
 			t.Fatal(err)

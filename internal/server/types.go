@@ -54,7 +54,7 @@ type TaskSpec struct {
 	// Compress names the internal/compress codec the server prefers for
 	// upload chunks ("" or "none" disables). It is a preference, not a
 	// mandate: each upload negotiates against the codecs the client
-	// offered at report time, so clients that offer nothing (older /v1/
+	// offered at report time, so clients that offer nothing (older
 	// builds) upload raw and keep working.
 	Compress string
 	// Aggregation names the fedopt.Aggregation rule weighting accepted
@@ -170,8 +170,8 @@ type ReportResponse struct {
 	// bound before (optionally) quantizing and uploading — the ROADMAP's
 	// "clip before quantize" ordering. The server re-clips after
 	// dequantize regardless, so the guarantee never rests on client
-	// cooperation. Cold gob field (versioning rule 2): a /v1 client drops
-	// it and the server-side re-clip still bounds sensitivity.
+	// cooperation. Cold gob-envelope field (versioning rule 2): an older
+	// client drops it and the server-side re-clip still bounds sensitivity.
 	DPClip float64
 	// DPLocalNoise, when positive, is the per-coordinate Gaussian stddev
 	// the client adds to its clipped delta before upload (local DP).
@@ -229,8 +229,8 @@ type CheckinRequest struct {
 	Capabilities []string
 
 	// TraceID is the session trace ID minted by the client at check-in
-	// (internal/obs.NextTraceID). 0 means the client is not tracing. A
-	// /v1 selector's decoder drops the field (zero value), so the
+	// (internal/obs.NextTraceID). 0 means the client is not tracing. An
+	// older selector's decoder drops the field (zero value), so the
 	// session degrades to untraced rather than failing.
 	TraceID uint64
 }
@@ -247,8 +247,8 @@ type CheckinResponse struct {
 	Version    int
 
 	// TraceID echoes the request's trace ID when the selector recorded
-	// it; a zero echo tells the client the control plane is /v1 (or
-	// untraced) and server-side spans will not exist for this session.
+	// it; a zero echo tells the client the control plane is untraced (or
+	// older) and server-side spans will not exist for this session.
 	TraceID uint64
 
 	// RetryAfterMs, on a rejection, propagates the aggregator's backoff

@@ -1,31 +1,21 @@
 package httptransport
 
-// The HTTP streaming backend of the session fabric. The per-POST path pays
-// the full net/http request lifecycle — routing, header parsing, connection
-// bookkeeping — for every chunk of every upload, which PR 4's profiles
-// showed is the single-core bottleneck once serialization and aggregation
-// are off the critical path (~1.4ms of ~1.6ms per session). Here a whole
-// session rides ONE long-lived POST to /papaya/v2/stream/{node}: the
-// request body is a pipelined sequence of length-prefixed wire frames
-// (wire.AppendStreamFrame), the response body is the matching sequence of
-// response frames, and the HTTP machinery is paid once per session instead
-// of once per call. Full-duplex HTTP/1.1 (http.ResponseController
-// .EnableFullDuplex) lets the handler answer frame by frame while the
-// client keeps writing.
+// The HTTP backend of the session engine. A session rides ONE long-lived
+// POST to /papaya/v2/stream/{node}: the request body is a pipelined
+// sequence of length-prefixed wire frames (wire.AppendStreamFrame), the
+// response body is the matching sequence of response frames, and the HTTP
+// machinery is paid once per session instead of once per call.
+// Full-duplex HTTP/1.1 (http.ResponseController.EnableFullDuplex) lets the
+// handler answer frame by frame while the client keeps writing.
 //
 // The session machinery itself — pipelined serving, idle pooling, per-call
 // deadlines, ack elision, frame coalescing — lives in the shared
 // internal/transport/streamcore engine; this file supplies the two HTTP
 // adapters (the client's long-lived POST pipe and the server's full-duplex
-// response) and the negotiation glue.
-//
-// Streaming is a negotiated /v2/ capability (wire.Capabilities.Stream,
-// versioning rule 4): every build serves the route, but a fabric streams
-// only toward peers that advertised it; everyone else keeps receiving the
-// per-POST bytes. Fault injection is preserved on both ends — the client
-// side runs checkCall before every streamed call, and the server side runs
-// the same invoke dispatch as handleRPC for every frame — so the
-// conformance suite's Appendix E.4 failure drills hold verbatim on streams.
+// response). Fault injection holds on both ends: the client side runs
+// the table's fault checks before every call, and the server side runs
+// Table.Invoke for every frame, so the conformance suite's Appendix E.4
+// failure drills hold verbatim.
 
 import (
 	"bufio"
@@ -44,19 +34,15 @@ import (
 	"repro/internal/transport/wire"
 )
 
-// Compile-time checks: the HTTP backend offers the streaming surface, and
-// its bound sessions expose the ack-elision surface.
-var (
-	_ transport.StreamFabric   = (*Fabric)(nil)
-	_ transport.ElidingSession = (*boundSession)(nil)
-)
+// Compile-time check: the HTTP backend offers the streaming surface.
+var _ transport.StreamFabric = (*Fabric)(nil)
 
 // streamContentType marks a streaming response body (a frame sequence, not
 // a single RPC frame).
 const streamContentType = "application/x-papaya-stream"
 
 // maxIdleStreamsPerPeer caps the cached sessions kept per (peer, node)
-// pair under Options.Stream; extras beyond the cap are closed on release.
+// pair; extras beyond the cap are closed on release.
 const maxIdleStreamsPerPeer = 16
 
 // --- server side ---
@@ -97,13 +83,11 @@ func (h *httpConn) Close() error { return h.body.Close() }
 
 // handleStream serves one streaming session through the shared engine: a
 // pipelined sequence of length-prefixed request frames answered in order by
-// response frames over a single POST. Each frame is decoded by its own
-// sniffed codec and runs through the same fault-check dispatch as a
-// per-POST call, so streamed traffic has identical semantics — including
-// injected crashes and partitions taking effect mid-stream, and the no-ack
-// suppression path for peers that negotiated ack elision. The loop exits
-// when the client closes its end (the session's natural close signal) or
-// the connection breaks.
+// response frames over a single POST. Every frame runs through Invoke's
+// fault-check dispatch — injected crashes and partitions take effect
+// mid-stream — and no-ack frames take the engine's suppression path. The
+// loop exits when the client closes its end (the session's natural close
+// signal) or the connection breaks.
 func (f *Fabric) handleStream(w http.ResponseWriter, r *http.Request) {
 	node := r.PathValue("node")
 	rc := http.NewResponseController(w)
@@ -117,12 +101,11 @@ func (f *Fabric) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	conn := &httpConn{w: w, rc: rc, body: r.Body, br: bufio.NewReaderSize(r.Body, 32<<10)}
 	streamcore.Serve(conn, streamcore.ServeConfig{
-		DefaultCodec: f.codec,
-		MaxFrame:     maxRPCBodyBytes,
-		Prefix:       "httptransport",
-		Counters:     &f.counters,
+		MaxFrame: maxFrameBytes,
+		Prefix:   "httptransport",
+		Counters: &f.counters,
 		Invoke: func(req *wire.Request) *wire.Response {
-			return f.invoke(node, req)
+			return f.Invoke(node, req, "httptransport")
 		},
 	})
 }
@@ -200,13 +183,8 @@ func (p *pipeConn) Close() error {
 }
 
 // openStreamSession dials one streaming session toward target for node.
-// The caller has already checked faults and confirmed the peer negotiated
-// the capability.
-func (f *Fabric) openStreamSession(target, node string, caps wire.Capabilities) (*streamcore.Session, error) {
-	enc := f.codec
-	if f.binPreferred && !caps.SupportsBinary() {
-		enc = f.fallback
-	}
+// The caller has already checked faults.
+func (f *Fabric) openStreamSession(target, node string) (*streamcore.Session, error) {
 	pr, pw := io.Pipe()
 	// The open phase (dial + response headers) is deadline-bounded like
 	// any call — a blackholed peer must fail fast so the caller can fail
@@ -214,13 +192,13 @@ func (f *Fabric) openStreamSession(target, node string, caps wire.Capabilities) 
 	// the long-lived stream, so the timer only fires on a slow open and
 	// the session owns the cancel for its teardown.
 	ctx, cancel := context.WithCancel(context.Background())
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, target+apiPrefixV2+"/stream/"+url.PathEscape(node), pr)
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, target+apiPrefix+"/stream/"+url.PathEscape(node), pr)
 	if err != nil {
 		cancel()
 		pw.Close()
 		return nil, err
 	}
-	httpReq.Header.Set("Content-Type", enc.ContentType())
+	httpReq.Header.Set("Content-Type", streamContentType)
 	var openTimer *time.Timer
 	if f.callTimeout > 0 {
 		openTimer = time.AfterFunc(f.callTimeout, func() {
@@ -246,15 +224,12 @@ func (f *Fabric) openStreamSession(target, node string, caps wire.Capabilities) 
 	}
 	conn := &pipeConn{pw: pw, resp: resp, br: bufio.NewReaderSize(resp.Body, 32<<10), cancel: cancel}
 	s := streamcore.NewSession(conn, streamcore.Config{
-		Codec:       enc,
-		Deflate:     f.deflateBody && caps.SupportsCompression(),
 		Node:        node,
 		Prefix:      "httptransport",
 		CallTimeout: f.callTimeout,
-		MaxFrame:    maxRPCBodyBytes,
+		MaxFrame:    maxFrameBytes,
 		Counters:    &f.counters,
 	})
-	s.Addr = target
 	if !f.pool.Track(s) {
 		// Lost the race against Close: a session registered now would
 		// never be torn down (Close already snapshotted the pool).
@@ -264,140 +239,18 @@ func (f *Fabric) openStreamSession(target, node string, caps wire.Capabilities) 
 	return s, nil
 }
 
-// --- the Options.Stream call path ---
-
-func streamKey(target, node string) string { return target + "|" + node }
-
-// acquireStream pops a cached idle session for (target, node) or opens a
-// fresh one; fresh reports which, so the caller knows whether a broken
-// session might just have been stale.
-func (f *Fabric) acquireStream(target, node string, caps wire.Capabilities) (s *streamcore.Session, fresh bool, err error) {
-	if s = f.pool.Take(streamKey(target, node)); s != nil {
-		return s, false, nil
-	}
-	s, err = f.openStreamSession(target, node, caps)
-	return s, true, err
-}
-
-// streamCall routes one Fabric.Call over a cached streaming session. A
-// stale cached session (the peer restarted since it was pooled) whose
-// failure happened before any bytes went out is discarded and the call
-// retried on another connection — the equivalent of the POST path dialing
-// anew. Once bytes may have reached the peer the call is never resent
-// (at-most-once, like a failed POST): the error surfaces as ErrCrashed
-// and the component-level failover paths own the retry decision.
-func (f *Fabric) streamCall(from, to, target, method string, payload any, caps wire.Capabilities) (any, error) {
-	for {
-		s, fresh, err := f.acquireStream(target, to, caps)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, to, err)
-		}
-		out, err, wrote := s.Do(from, method, payload)
-		if err == nil {
-			// The call succeeded even if a racing deadline marked the
-			// session broken afterwards; Release keeps or discards the
-			// session accordingly.
-			f.pool.Release(streamKey(target, to), s)
-			return out, nil
-		}
-		if !s.Broken() {
-			// Application or wire-kind error over a healthy session.
-			f.pool.Release(streamKey(target, to), s)
-			return nil, err
-		}
-		f.pool.Discard(s)
-		if !fresh && !wrote {
-			continue // stale pooled conn, nothing sent: safe to retry
-		}
-		return nil, err
-	}
-}
-
-// --- transport.StreamFabric ---
-
-// boundSession is a Session pinned to a (from, to) pair: either a live
-// stream (one connection per session — the client runtime's participation
-// sessions) or, when the peer did not negotiate streaming, a per-call
-// fallback with identical semantics.
-type boundSession struct {
-	f        *Fabric
-	s        *streamcore.Session // nil: per-call fallback
-	from, to string
-	elide    bool
-	closed   bool
-}
-
-// Call implements transport.Session: the same injected-fault checks as
-// Fabric.Call run per call, then the frame rides the pinned stream.
-func (b *boundSession) Call(method string, payload any) (any, error) {
-	if b.closed {
-		return nil, fmt.Errorf("%w: session closed", transport.ErrCrashed)
-	}
-	if b.s == nil {
-		return b.f.Call(b.from, b.to, method, payload)
-	}
-	if _, _, err := b.f.checkCall(b.from, b.to, method); err != nil {
-		return nil, err
-	}
-	out, err, _ := b.s.Do(b.from, method, payload)
-	return out, err
-}
-
-// ElidesAcks implements transport.ElidingSession: true only when this
-// fabric has ack elision enabled, the peer negotiated the capability, and
-// the session actually streams (a per-call fallback always acks).
-func (b *boundSession) ElidesAcks() bool { return b.elide && b.s != nil && !b.closed }
-
-// SendNoAck implements transport.ElidingSession: the same injected-fault
-// checks run per elided call (fault parity frame by frame), then the
-// no-ack frame queues to coalesce into the session's next flush. On a
-// per-call fallback session it degrades to an ordinary acked call.
-func (b *boundSession) SendNoAck(method string, payload any) error {
-	if b.closed {
-		return fmt.Errorf("%w: session closed", transport.ErrCrashed)
-	}
-	if b.s == nil {
-		_, err := b.f.Call(b.from, b.to, method, payload)
-		return err
-	}
-	if _, _, err := b.f.checkCall(b.from, b.to, method); err != nil {
-		return err
-	}
-	return b.s.SendNoAck(b.from, method, payload)
-}
-
-// Close implements transport.Session; closing the stream is the server's
-// signal that the session ended (dead clients are instead reaped by the
-// aggregator's session TTL).
-func (b *boundSession) Close() error {
-	if b.closed {
-		return nil
-	}
-	b.closed = true
-	if b.s != nil {
-		b.f.pool.Discard(b.s)
-	}
-	return nil
-}
-
 // OpenSession implements transport.StreamFabric: one dedicated connection
-// per session toward stream-capable peers, a transparent per-call fallback
-// toward everyone else (the negotiation default of versioning rule 4). The
-// session elides acks only when this fabric opted in and the peer
-// advertised the capability — otherwise per-chunk acks keep flowing,
-// bit-identically to the pre-elision protocol.
+// per session. The session elides acks only when this fabric opted in and
+// the peer advertised the capability — otherwise per-chunk acks keep
+// flowing.
 func (f *Fabric) OpenSession(from, to string) (transport.Session, error) {
-	target, isLocal, err := f.checkCall(from, to, "open-session")
+	target, isLocal, err := f.Resolve(from, to, "open-session")
 	if err != nil {
 		return nil, err
 	}
-	caps := f.peerCapabilities(target, isLocal)
-	if !caps.SupportsStream() {
-		return &boundSession{f: f, from: from, to: to}, nil
-	}
-	s, err := f.openStreamSession(target, to, caps)
+	s, err := f.openStreamSession(target, to)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, to, err)
 	}
-	return &boundSession{f: f, s: s, from: from, to: to, elide: f.ackElide && caps.SupportsAckElide()}, nil
+	return streamcore.NewBound(f.pool, s, from, to, f.ackElide && f.Elides(target, isLocal), f.Check), nil
 }

@@ -11,9 +11,9 @@ import (
 	"repro/internal/transport/httptransport"
 )
 
-func newFabric(t *testing.T, codec string) *httptransport.Fabric {
+func newFabric(t *testing.T) *httptransport.Fabric {
 	t.Helper()
-	f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Codec: codec, Seed: 1})
+	f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,78 +32,81 @@ func echoHandler(method string, payload any) (any, error) {
 	return payload, nil
 }
 
-func TestCallRoundTripBothCodecs(t *testing.T) {
+func TestCallRoundTrip(t *testing.T) {
+	f := newFabric(t)
+	f.Register("node-a", echoHandler)
+
+	// Struct payload and struct response.
+	resp, err := f.Call("tester", "node-a", "join", server.JoinRequest{TaskID: "t", ClientID: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, ok := resp.(server.JoinResponse)
+	if !ok {
+		t.Fatalf("response type %T, want server.JoinResponse", resp)
+	}
+	if !jr.Accepted || jr.SessionID != 42 || jr.Version != 7 {
+		t.Fatalf("round trip mangled response: %+v", jr)
+	}
+
+	// String payload (register-aggregator / task-info style).
+	resp, err = f.Call("tester", "node-a", "m", "hello")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp != "echo:m:hello" {
+		t.Fatalf("string round trip = %v", resp)
+	}
+
+	// Nil payload (map-request style).
+	resp, err = f.Call("tester", "node-a", "nilcall", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp != nil {
+		t.Fatalf("nil payload round trip = %v, want nil", resp)
+	}
+}
+
+// TestNewRejectsRetiredCodecs: bin is the only wire codec, so a stale
+// configuration naming another one fails at construction.
+func TestNewRejectsRetiredCodecs(t *testing.T) {
 	for _, codec := range []string{"gob", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			f := newFabric(t, codec)
-			f.Register("node-a", echoHandler)
-
-			// Struct payload and struct response.
-			resp, err := f.Call("tester", "node-a", "join", server.JoinRequest{TaskID: "t", ClientID: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jr, ok := resp.(server.JoinResponse)
-			if !ok {
-				t.Fatalf("response type %T, want server.JoinResponse", resp)
-			}
-			if !jr.Accepted || jr.SessionID != 42 || jr.Version != 7 {
-				t.Fatalf("round trip mangled response: %+v", jr)
-			}
-
-			// String payload (register-aggregator / task-info style).
-			resp, err = f.Call("tester", "node-a", "m", "hello")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp != "echo:m:hello" {
-				t.Fatalf("string round trip = %v", resp)
-			}
-
-			// Nil payload (map-request style).
-			resp, err = f.Call("tester", "node-a", "nilcall", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp != nil {
-				t.Fatalf("nil payload round trip = %v, want nil", resp)
-			}
-		})
+		if f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Codec: codec}); err == nil {
+			_ = f.Close()
+			t.Fatalf("codec %q accepted", codec)
+		}
 	}
 }
 
 func TestNestedAnyPayloadCrossesWire(t *testing.T) {
 	// RouteRequest carries an interface-typed payload — the hardest message
-	// for a wire format. Both codecs must preserve the inner concrete type.
-	for _, codec := range []string{"gob", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			f := newFabric(t, codec)
-			f.Register("sel", func(method string, payload any) (any, error) {
-				rr := payload.(server.RouteRequest)
-				chunk, ok := rr.Payload.(server.UploadChunk)
-				if !ok {
-					t.Errorf("inner payload type %T, want server.UploadChunk", rr.Payload)
-					return nil, errors.New("bad inner type")
-				}
-				return server.UploadResponse{OK: chunk.Done, Reason: rr.Method}, nil
-			})
-			resp, err := f.Call("client", "sel", "route", server.RouteRequest{
-				TaskID: "t", Method: "upload-chunk",
-				Payload: server.UploadChunk{TaskID: "t", SessionID: 3, Data: []float32{1, 2}, Done: true},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ur := resp.(server.UploadResponse)
-			if !ur.OK || ur.Reason != "upload-chunk" {
-				t.Fatalf("nested round trip = %+v", ur)
-			}
-		})
+	// for a wire format. The inner concrete type must survive.
+	f := newFabric(t)
+	f.Register("sel", func(method string, payload any) (any, error) {
+		rr := payload.(server.RouteRequest)
+		chunk, ok := rr.Payload.(server.UploadChunk)
+		if !ok {
+			t.Errorf("inner payload type %T, want server.UploadChunk", rr.Payload)
+			return nil, errors.New("bad inner type")
+		}
+		return server.UploadResponse{OK: chunk.Done, Reason: rr.Method}, nil
+	})
+	resp, err := f.Call("client", "sel", "route", server.RouteRequest{
+		TaskID: "t", Method: "upload-chunk",
+		Payload: server.UploadChunk{TaskID: "t", SessionID: 3, Data: []float32{1, 2}, Done: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur := resp.(server.UploadResponse)
+	if !ur.OK || ur.Reason != "upload-chunk" {
+		t.Fatalf("nested round trip = %+v", ur)
 	}
 }
 
 func TestAppErrorCrossesWire(t *testing.T) {
-	f := newFabric(t, "gob")
+	f := newFabric(t)
 	f.Register("node-a", func(string, any) (any, error) {
 		return nil, errors.New("task \"ghost\" not assigned here")
 	})
@@ -124,7 +127,7 @@ func TestAppErrorCrossesWire(t *testing.T) {
 // contract: every fault the in-memory Network can inject maps onto the same
 // sentinel error over HTTP, so failover logic behaves identically.
 func TestFaultParity(t *testing.T) {
-	f := newFabric(t, "gob")
+	f := newFabric(t)
 	f.Register("a", echoHandler)
 	f.Register("b", echoHandler)
 
@@ -184,7 +187,7 @@ func TestFaultParity(t *testing.T) {
 	})
 
 	t.Run("dead process maps to ErrCrashed", func(t *testing.T) {
-		peer := newFabric(t, "gob")
+		peer := newFabric(t)
 		peer.Register("remote", echoHandler)
 		f.AddRoute("remote", peer.BaseURL())
 		if _, err := f.Call("a", "remote", "m", nil); err != nil {
@@ -200,7 +203,7 @@ func TestFaultParity(t *testing.T) {
 }
 
 func TestLatencyInjection(t *testing.T) {
-	f := newFabric(t, "gob")
+	f := newFabric(t)
 	f.Register("a", echoHandler)
 	f.SetLatency(30 * time.Millisecond)
 	start := time.Now()
@@ -213,11 +216,11 @@ func TestLatencyInjection(t *testing.T) {
 }
 
 func TestAdvertiseAndDiscovery(t *testing.T) {
-	coordSide := newFabric(t, "gob")
+	coordSide := newFabric(t)
 	coordSide.Register("coordinator", echoHandler)
 	coordSide.Register("sel-0", echoHandler)
 
-	agentSide := newFabric(t, "gob")
+	agentSide := newFabric(t)
 	agentSide.Register("agg-remote", func(method string, payload any) (any, error) {
 		return "agg says hi", nil
 	})
@@ -242,20 +245,10 @@ func TestAdvertiseAndDiscovery(t *testing.T) {
 	if resp != "agg says hi" {
 		t.Fatalf("cross-process response = %v", resp)
 	}
-
-	// ListNodes: the fabric-less inventory fetch (the loadtest itself now
-	// uses Fabric.Discover, which also records capabilities).
-	names, err := httptransport.ListNodes(coordSide.BaseURL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "coordinator" || names[1] != "sel-0" {
-		t.Fatalf("ListNodes = %v", names)
-	}
 }
 
 func TestStatsCountTraffic(t *testing.T) {
-	f := newFabric(t, "gob")
+	f := newFabric(t)
 	f.Register("a", echoHandler)
 	before := f.Stats()
 	if _, err := f.Call("x", "a", "m", "payload"); err != nil {
@@ -273,10 +266,10 @@ func TestStatsCountTraffic(t *testing.T) {
 // agent's route from the gossiped document and reach it directly — no
 // full-mesh advertisement.
 func TestRouteGossipIsTransitive(t *testing.T) {
-	coordSide := newFabric(t, "gob")
+	coordSide := newFabric(t)
 	coordSide.Register("coordinator", echoHandler)
 
-	agentSide := newFabric(t, "gob")
+	agentSide := newFabric(t)
 	agentSide.Register("agg-g", func(method string, payload any) (any, error) {
 		return "agg-g here", nil
 	})
@@ -284,7 +277,7 @@ func TestRouteGossipIsTransitive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	selSide := newFabric(t, "gob")
+	selSide := newFabric(t)
 	selSide.Register("sel-g", echoHandler)
 	if _, err := selSide.Discover(coordSide.BaseURL()); err != nil {
 		t.Fatal(err)
@@ -298,5 +291,27 @@ func TestRouteGossipIsTransitive(t *testing.T) {
 	}
 	if out != "agg-g here" {
 		t.Fatalf("gossiped-route response = %v", out)
+	}
+}
+
+// TestDiscoverRecordsCapabilities covers the loadtest entry point: Discover
+// must install routes and the peer's capability document in one round trip.
+func TestDiscoverRecordsCapabilities(t *testing.T) {
+	serverFab := newFabric(t)
+	serverFab.Register("sel-0", echoHandler)
+
+	f := newFabric(t)
+	nodes, err := f.Discover(serverFab.BaseURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nodes) != 1 || nodes[0] != "sel-0" {
+		t.Fatalf("Discover nodes = %v", nodes)
+	}
+	if caps := f.PeerCapabilities(serverFab.BaseURL()); !caps.AckElide {
+		t.Fatalf("Discover recorded capabilities %+v, want ack elision", caps)
+	}
+	if resp, err := f.Call("client", "sel-0", "m", "hi"); err != nil || resp != "echo:m:hi" {
+		t.Fatalf("call through discovered route: %v %v", resp, err)
 	}
 }

@@ -3,9 +3,9 @@ package httptransport_test
 // Tests for the HTTP streaming session backend: one long-lived POST on
 // /papaya/v2/stream carrying a pipelined sequence of length-prefixed
 // frames. The fault-parity contract must hold per frame (injected crashes
-// and partitions take effect mid-stream), sessions must degrade to
-// per-call RPC toward peers that did not negotiate the capability, and
-// closing a fabric must not leak the stream-serving goroutines.
+// and partitions take effect mid-stream), ack elision must stay off toward
+// peers that did not negotiate it, and closing a fabric must not leak the
+// stream-serving goroutines.
 
 import (
 	"errors"
@@ -51,8 +51,8 @@ func TestStreamOpenFailsFastWhenPeerNeverResponds(t *testing.T) {
 	}
 	stubURL := "http://" + ln.Addr().String()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /papaya/v1/nodes", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"base_url":%q,"nodes":["victim"],"api":2,"stream":true}`, stubURL)
+	mux.HandleFunc("GET /papaya/v2/nodes", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"base_url":%q,"nodes":["victim"]}`, stubURL)
 	})
 	mux.HandleFunc("POST /papaya/v2/stream/victim", func(w http.ResponseWriter, r *http.Request) {
 		<-release // mute: no headers, no body read
@@ -87,40 +87,35 @@ func TestStreamOpenFailsFastWhenPeerNeverResponds(t *testing.T) {
 // TestStreamSessionPipelinesCalls drives many calls through one explicit
 // session and checks they all dispatch to the registered handler in order.
 func TestStreamSessionPipelinesCalls(t *testing.T) {
-	for _, codec := range []string{"gob", "bin", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			f := newStreamFabric(t, httptransport.Options{Codec: codec})
-			var got []string
-			f.Register("echo", func(method string, payload any) (any, error) {
-				got = append(got, method)
-				return payload, nil
-			})
-			sess, err := f.OpenSession("caller", "echo")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-			for i := 0; i < 20; i++ {
-				out, err := sess.Call(fmt.Sprintf("m%d", i), fmt.Sprintf("payload-%d", i))
-				if err != nil {
-					t.Fatalf("call %d: %v", i, err)
-				}
-				if out != fmt.Sprintf("payload-%d", i) {
-					t.Fatalf("call %d echoed %v", i, out)
-				}
-			}
-			if len(got) != 20 || got[0] != "m0" || got[19] != "m19" {
-				t.Fatalf("handler saw %v", got)
-			}
-		})
+	f := newStreamFabric(t, httptransport.Options{})
+	var got []string
+	f.Register("echo", func(method string, payload any) (any, error) {
+		got = append(got, method)
+		return payload, nil
+	})
+	sess, err := f.OpenSession("caller", "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for i := 0; i < 20; i++ {
+		out, err := sess.Call(fmt.Sprintf("m%d", i), fmt.Sprintf("payload-%d", i))
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if out != fmt.Sprintf("payload-%d", i) {
+			t.Fatalf("call %d echoed %v", i, out)
+		}
+	}
+	if len(got) != 20 || got[0] != "m0" || got[19] != "m19" {
+		t.Fatalf("handler saw %v", got)
 	}
 }
 
-// TestStreamCallModeUsesOneConnection: under Options.Stream, repeated
-// Fabric.Call invocations ride cached sessions; the handler still sees
-// every call and fault semantics are preserved.
+// TestStreamCallModeUsesOneConnection: repeated Fabric.Call invocations
+// ride cached sessions; the handler still sees every call.
 func TestStreamCallModeUsesOneConnection(t *testing.T) {
-	f := newStreamFabric(t, httptransport.Options{Stream: true, Codec: "bin"})
+	f := newStreamFabric(t, httptransport.Options{})
 	calls := 0
 	f.Register("node", func(method string, payload any) (any, error) {
 		calls++
@@ -137,7 +132,7 @@ func TestStreamCallModeUsesOneConnection(t *testing.T) {
 }
 
 // TestStreamFaultParityMidSession: crash and partition markers must take
-// effect on the next streamed call, exactly as they do per POST.
+// effect on the next streamed call.
 func TestStreamFaultParityMidSession(t *testing.T) {
 	f := newStreamFabric(t, httptransport.Options{})
 	f.Register("node", func(method string, payload any) (any, error) { return true, nil })
@@ -172,15 +167,13 @@ func TestStreamFaultParityMidSession(t *testing.T) {
 	}
 }
 
-// TestStreamDegradesToPerCallForV1Peers: a session toward a peer that never
-// advertised the stream capability (an unknown remote, i.e. a /v1/ peer)
-// must transparently fall back to per-call POSTs.
-func TestStreamDegradesToPerCallForV1Peers(t *testing.T) {
+// TestSessionTowardUndiscoveredPeer: a peer known only by a static route
+// (no capability document) still gets a working session.
+func TestSessionTowardUndiscoveredPeer(t *testing.T) {
 	server := newStreamFabric(t, httptransport.Options{})
 	server.Register("node", func(method string, payload any) (any, error) { return "ok", nil })
 	caller := newStreamFabric(t, httptransport.Options{})
-	// AddRoute without Discover: the peer's capabilities stay unknown (the
-	// zero document — a /v1/ peer).
+	// AddRoute without Discover: the peer's capabilities stay unknown.
 	caller.AddRoute("node", server.BaseURL())
 
 	sess, err := caller.OpenSession("caller", "node")
@@ -190,14 +183,14 @@ func TestStreamDegradesToPerCallForV1Peers(t *testing.T) {
 	defer sess.Close()
 	out, err := sess.Call("ping", nil)
 	if err != nil || out != "ok" {
-		t.Fatalf("per-call fallback: %v %v", out, err)
+		t.Fatalf("session toward undiscovered peer: %v %v", out, err)
 	}
 }
 
 // TestStreamSessionSurvivesLargeFrames pushes a payload well past the
 // bufio sizes through a session in both directions.
 func TestStreamSessionSurvivesLargeFrames(t *testing.T) {
-	f := newStreamFabric(t, httptransport.Options{Codec: "bin", Compress: "streamed"})
+	f := newStreamFabric(t, httptransport.Options{})
 	f.Register("node", func(method string, payload any) (any, error) { return payload, nil })
 	sess, err := f.OpenSession("caller", "node")
 	if err != nil {
@@ -222,7 +215,7 @@ func TestStreamSessionSurvivesLargeFrames(t *testing.T) {
 func TestStreamCloseDoesNotLeakGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Stream: true})
+		f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +255,7 @@ func TestStreamCloseDoesNotLeakGoroutines(t *testing.T) {
 // acked call crosses with a reply, and the shared counters record both the
 // elided acks and the coalesced flush.
 func TestAckElideEndToEnd(t *testing.T) {
-	f := newStreamFabric(t, httptransport.Options{Codec: "bin", AckElide: true})
+	f := newStreamFabric(t, httptransport.Options{AckElide: true})
 	// The handler runs on the serving goroutine; the only ordering toward
 	// the test's final read is socket I/O, which the race detector cannot
 	// see, so the record needs its own lock.
@@ -314,7 +307,7 @@ func TestAckElideEndToEnd(t *testing.T) {
 // held, later elided frames drain without dispatch, and the next acked
 // call is answered with the held response without being invoked.
 func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
-	f := newStreamFabric(t, httptransport.Options{Codec: "bin", AckElide: true})
+	f := newStreamFabric(t, httptransport.Options{AckElide: true})
 	var mu sync.Mutex
 	var methods []string
 	f.Register("agg", func(method string, payload any) (any, error) {
@@ -352,11 +345,10 @@ func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestAckElideDegradesForV1Peers: toward a peer whose capabilities were
-// never fetched (a /v1 peer), OpenSession falls back to per-call POSTs —
-// the session must not offer elision, and SendNoAck (if reached through
-// the interface) degrades to an acked per-call RPC rather than failing.
-func TestAckElideDegradesForV1Peers(t *testing.T) {
+// TestAckElideDegradesForUnknownCapsPeer: toward a peer whose capabilities
+// were never fetched, the session must not offer elision and every call
+// keeps its acknowledgement.
+func TestAckElideDegradesForUnknownCapsPeer(t *testing.T) {
 	srv := newStreamFabric(t, httptransport.Options{})
 	srv.Register("node", func(method string, payload any) (any, error) {
 		return server.UploadResponse{OK: true}, nil

@@ -25,15 +25,14 @@ type Session interface {
 }
 
 // StreamFabric is the optional streaming surface a Fabric may offer: one
-// connection per session with pipelined calls (the wire.Capabilities
-// "stream" capability). Backends that cannot stream toward a given peer (a
-// /v1/ peer that never advertised the capability) degrade by returning a
-// per-call Session, so callers need no fallback logic of their own.
+// connection per session with pipelined calls. Both networked backends
+// implement it; the package-level OpenSession helper gives fabrics
+// without it (the in-memory Network) a per-call Session, so callers need
+// no fallback logic of their own.
 type StreamFabric interface {
 	Fabric
-	// OpenSession opens a streaming session from from to to. It degrades
-	// to a per-call session when the peer did not negotiate streaming; it
-	// fails only when the peer is unknown or the connection cannot be
+	// OpenSession opens a streaming session from from to to. It fails
+	// only when the peer is unknown or the connection cannot be
 	// established.
 	OpenSession(from, to string) (Session, error)
 }
@@ -107,7 +106,7 @@ func (s *callSession) Close() error {
 // as "bytes moved". Shared by the HTTP and raw-TCP backends so tooling can
 // meter either through one interface.
 type Stats struct {
-	// Calls counts outbound RPCs (streamed or per-POST).
+	// Calls counts outbound RPCs, pooled or session-pinned.
 	Calls uint64
 	// BytesSent counts request payload bytes written.
 	BytesSent uint64

@@ -3,7 +3,6 @@ package streamcore
 import (
 	"net"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
@@ -11,25 +10,26 @@ import (
 // ServeConfig parameterizes the server half of the engine for the fabric
 // that owns the connection.
 type ServeConfig struct {
-	// DefaultCodec answers frames whose codec could not be sniffed.
-	DefaultCodec wire.Codec
-	// MaxFrame bounds one request payload, raw or inflated.
+	// DefaultCodec selects nothing: every frame is wire.Binary.
+	//
+	// Deprecated: the field is inert and kept only so existing callers
+	// compile.
+	DefaultCodec wire.Binary
+	// MaxFrame bounds one request payload.
 	MaxFrame int
 	// Prefix is the owning fabric's error prefix.
 	Prefix string
 	// Counters receives the server-side accounting (acks elided).
 	Counters *Counters
 	// Invoke runs one decoded request through the fabric's fault-check
-	// dispatch — the same path per-call RPC takes, so fault parity holds
-	// frame by frame.
+	// dispatch, so fault parity holds frame by frame.
 	Invoke func(req *wire.Request) *wire.Response
 }
 
 // Serve runs one inbound streaming session: pipelined request frames
-// answered in order by response frames, each decoded by its own sniffed
-// codec, compressed responses mirroring the request's deflate choice, and
-// buffer leases released in the per-call order (response frame fully
-// encoded, then response leases, then request leases).
+// answered in order by response frames, with buffer leases released in
+// the per-call order (response frame fully encoded, then response leases,
+// then request leases).
 //
 // Frames carrying wire.StreamFlagNoAck are the ack-elision path: a
 // successful response whose payload opts in (transport.AckElidable) is
@@ -62,16 +62,7 @@ func Serve(conn Conn, cfg ServeConfig) {
 			held = nil
 			continue
 		}
-		if flags&wire.StreamFlagDeflate != 0 {
-			if payload, err = compress.InflateBytes(payload, int64(cfg.MaxFrame)); err != nil {
-				return
-			}
-		}
-		codec, ok := wire.CodecForFrame(payload)
-		if !ok {
-			codec = cfg.DefaultCodec
-		}
-		req, err := codec.DecodeRequest(payload)
+		req, err := wire.Binary{}.DecodeRequest(payload)
 		if err != nil {
 			// A frame that does not decode means the stream framing itself
 			// is unreliable; kill the session rather than guess at framing.
@@ -83,7 +74,7 @@ func Serve(conn Conn, cfg ServeConfig) {
 			cfg.Counters.AcksElided.Add(1)
 			continue
 		}
-		out, err = AppendResponseFrame(out[:0], codec, resp, req, flags, cfg.Prefix)
+		out, err = appendResponseFrame(out[:0], resp, req, cfg.Prefix)
 		if err != nil {
 			return
 		}
@@ -119,44 +110,21 @@ func releaseLeases(resp *wire.Response, req *wire.Request) {
 	}
 }
 
-// AppendResponseFrame encodes one response as a complete stream frame into
-// dst: codec body via the append fast path when available, leases released
-// once the body is encoded, the request's deflate choice mirrored back
-// (the stream-era Accept-Encoding).
-func AppendResponseFrame(dst []byte, codec wire.Codec, resp *wire.Response, req *wire.Request, reqFlags byte, prefix string) ([]byte, error) {
-	var body []byte
-	var err error
-	framePooled := false
-	if app, ok := codec.(wire.Appender); ok {
-		body, err = app.AppendResponse(GetFrame(), resp)
-		framePooled = err == nil
-	} else {
-		body, err = codec.EncodeResponse(resp)
-	}
-	// Leases follow the same order as the per-POST path: the response
-	// frame is fully encoded, then pooled response vectors (a download's
-	// model snapshot) and the request's leased decode vectors go back to
-	// their pools.
+// appendResponseFrame encodes one response as a complete stream frame into
+// dst, releasing the call's leases once the body is encoded.
+func appendResponseFrame(dst []byte, resp *wire.Response, req *wire.Request, prefix string) ([]byte, error) {
+	body, err := wire.Binary{}.AppendResponse(GetFrame(), resp)
+	// Leases are released once the response frame is fully encoded:
+	// pooled response vectors (a download's model snapshot), then the
+	// request's leased decode vectors.
 	releaseLeases(resp, req)
 	if err != nil {
-		body, err = codec.EncodeResponse(&wire.Response{Err: prefix + ": encoding response: " + err.Error()})
+		body, err = wire.Binary{}.AppendResponse(GetFrame(), &wire.Response{Err: prefix + ": encoding response: " + err.Error()})
 		if err != nil {
 			return dst, err
 		}
 	}
-	respFlags := byte(0)
-	if reqFlags&wire.StreamFlagDeflate != 0 && len(body) >= DeflateMin {
-		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			if framePooled {
-				PutFrame(body)
-				framePooled = false
-			}
-			body, respFlags = packed, wire.StreamFlagDeflate
-		}
-	}
-	dst = wire.AppendStreamFrame(dst, respFlags, body)
-	if framePooled {
-		PutFrame(body)
-	}
+	dst = wire.AppendStreamFrame(dst, 0, body)
+	PutFrame(body)
 	return dst, nil
 }

@@ -8,19 +8,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
 
 // Config parameterizes a client Session for the fabric that owns it.
 type Config struct {
-	// Codec is the negotiated request encoder (responses are decoded with
-	// it too — the server answers in kind).
-	Codec wire.Codec
-	// Deflate enables the per-frame deflate stage for large request
-	// frames (the peer negotiated the /v2 compression capability).
-	Deflate bool
+	// Codec selects nothing: every frame is wire.Binary.
+	//
+	// Deprecated: the field is inert and kept only so existing callers
+	// compile.
+	Codec wire.Binary
 	// Node is the callee every frame on this session addresses, used in
 	// error text.
 	Node string
@@ -30,7 +28,7 @@ type Config struct {
 	// CallTimeout bounds one call end to end via Conn.SetDeadline; zero
 	// disables the per-call deadline.
 	CallTimeout time.Duration
-	// MaxFrame bounds one response payload, raw or inflated.
+	// MaxFrame bounds one response payload.
 	MaxFrame int
 	// Counters receives the session's traffic accounting (the owning
 	// fabric's cumulative counters).
@@ -44,10 +42,6 @@ type Config struct {
 type Session struct {
 	conn Conn
 	cfg  Config
-
-	// Addr is the peer address this session is pinned to — fabric
-	// bookkeeping for pool keys, never interpreted by the engine.
-	Addr string
 
 	broken atomic.Bool
 	closed atomic.Bool
@@ -107,20 +101,14 @@ func (s *Session) Do(from, method string, payload any) (out any, err error, wrot
 		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, werr), n > 0
 	}
 	wrote = true
-	rflags, raw, err := s.conn.ReadFrame(s.cfg.MaxFrame)
+	_, raw, err := s.conn.ReadFrame(s.cfg.MaxFrame)
 	if err != nil {
 		s.broken.Store(true)
 		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, s.cfg.Node, err), true
 	}
 	s.clearDeadline()
 	s.cfg.Counters.BytesReceived.Add(uint64(len(raw)))
-	if rflags&wire.StreamFlagDeflate != 0 {
-		if raw, err = compress.InflateBytes(raw, int64(s.cfg.MaxFrame)); err != nil {
-			s.broken.Store(true)
-			return nil, fmt.Errorf("%s: inflating stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err), true
-		}
-	}
-	resp, err := s.cfg.Codec.DecodeResponse(raw)
+	resp, err := wire.Binary{}.DecodeResponse(raw)
 	if err != nil {
 		s.broken.Store(true)
 		return nil, fmt.Errorf("%s: decoding stream response from %s: %w", s.cfg.Prefix, s.cfg.Node, err), true
@@ -186,30 +174,17 @@ func (s *Session) Flush() error {
 	return nil
 }
 
-// encodeFrame encodes one request into dst as a complete stream frame:
-// codec body (via the append fast path when available), optional deflate,
-// length-prefixed framing with the given extra flags.
-func (s *Session) encodeFrame(dst []byte, from, method string, payload any, extraFlags byte) ([]byte, error) {
+// encodeFrame encodes one request into dst as a complete stream frame with
+// the given flags.
+func (s *Session) encodeFrame(dst []byte, from, method string, payload any, flags byte) ([]byte, error) {
 	s.req.From, s.req.Method, s.req.Payload = from, method, payload
-	var body []byte
-	var err error
-	if app, ok := s.cfg.Codec.(wire.Appender); ok {
-		body, err = app.AppendRequest(s.encBuf[:0], &s.req)
-	} else {
-		body, err = s.cfg.Codec.EncodeRequest(&s.req)
-	}
+	body, err := wire.Binary{}.AppendRequest(s.encBuf[:0], &s.req)
 	s.req.Payload = nil
 	if err != nil {
 		return dst, err
 	}
 	if cap(body) > cap(s.encBuf) {
 		s.encBuf = body // keep the grown scratch for the next frame
-	}
-	flags := extraFlags
-	if s.cfg.Deflate && len(body) >= DeflateMin {
-		if packed, derr := compress.DeflateBytes(body); derr == nil && len(packed) < len(body) {
-			body, flags = packed, flags|wire.StreamFlagDeflate
-		}
 	}
 	return wire.AppendStreamFrame(dst, flags, body), nil
 }

@@ -1,13 +1,10 @@
-// Package streamcore is the shared streaming-session engine behind the
-// networked fabrics. PR 5 gave the HTTP and raw-TCP backends each their own
-// copy of the same machinery — an idle-session pool, a pipelined
-// frame-serving loop, a per-call watchdog, and pooled encode buffers — and
-// the copies drifted apart in exactly the places that matter for
-// performance (the HTTP side tore down whole sessions on one slow call; the
-// TCP side issued one write syscall per frame). This package collapses both
-// onto one engine over a small Conn interface (read-frame / write-frames /
-// set-deadline / close) and attacks per-session overhead once, for every
-// backend:
+// Package streamcore is the session engine behind both networked fabrics
+// and the only way their calls travel: every call, pooled or pinned to a
+// participation session, is a wire.Binary frame on a long-lived stream.
+// The HTTP and raw-TCP backends supply a small Conn (read-frame /
+// write-frames / set-deadline / close) and share everything else — the
+// idle-session pool, the pipelined frame-serving loop, per-call deadlines,
+// and pooled encode buffers:
 //
 //   - Ack elision (wire.StreamFlagNoAck, negotiated as the
 //     wire.Capabilities.AckElide stream capability): calls whose responses
@@ -17,21 +14,19 @@
 //     held and delivered on the session's next acknowledged frame, so
 //     request/response framing never desynchronizes and errors are never
 //     dropped. Peers that did not negotiate the capability keep the
-//     per-frame request/response rhythm bit-identically.
+//     per-frame request/response rhythm.
 //
 //   - Frame coalescing: queued no-ack frames and the next acknowledged
 //     frame flush as one net.Buffers write — a writev on TCP — instead of
 //     one syscall per frame.
 //
 //   - Deadline-per-call timeouts: every call arms Conn.SetDeadline for the
-//     fabric's CallTimeout and clears it on completion, replacing the HTTP
-//     side's per-call time.AfterFunc watchdog (one timer allocation per
-//     call) with the deadline machinery TCP already had.
+//     fabric's CallTimeout and clears it on completion.
 //
-// Fault parity is preserved on both ends exactly as before: client-side
-// fault checks stay in the fabrics (checkCall before every streamed call,
-// elided or not), and the server loop routes every decoded frame through
-// the same invoke dispatch as per-call RPC.
+// Fault parity holds on both ends: client-side fault checks stay in the
+// fabrics (checkCall before every streamed call, elided or not), and the
+// server loop routes every decoded frame through the fabric's fault-check
+// dispatch.
 package streamcore
 
 import (
@@ -44,11 +39,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
-
-// DeflateMin is the frame size below which the per-frame deflate stage is
-// skipped (fixed DEFLATE framing would outweigh the savings) — the same
-// threshold as the per-POST /v2/ deflate stage.
-const DeflateMin = 256
 
 // coalesceFlushBytes is the queued no-ack byte threshold that forces a
 // flush: enough to amortize a writev over several chunk frames, small

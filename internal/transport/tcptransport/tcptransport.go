@@ -1,24 +1,18 @@
 // Package tcptransport is the raw-TCP transport.Fabric: the same
 // Coordinator/Aggregator/Selector control plane that runs over the
 // in-memory Network in tests and over net/http in deployments runs here on
-// bare TCP connections carrying length-prefixed wire frames — no request
-// routing, no header parsing, no per-call connection lifecycle. PR 4 left
-// net/http traversal as the single-core bottleneck of the serving path
-// (~1.4ms of ~1.6ms per session on the loopback loadtest); this backend
-// removes that entire layer while reusing everything above it: the
-// versioned wire codecs (wire.Binary preferred, gob/json always decoded),
-// the pooled frame buffers, the stream framing of wire.AppendStreamFrame,
-// and the capability negotiation of versioning rule 4.
+// bare TCP connections carrying length-prefixed wire.Binary frames — no
+// request routing, no header parsing, no per-call connection lifecycle.
+// It shares the streaming session engine (internal/transport/streamcore)
+// with the HTTP fabric.
 //
 // Protocol: a connection opens with one stream frame whose payload is a
 // wire.StreamHello naming the node every subsequent request addresses (the
 // HTTP transport carries this in the URL path). After the hello, the
 // connection is a streaming session: pipelined request frames answered in
-// order by response frames, each payload a complete self-describing codec
-// frame (sniffed via wire.CodecForFrame, answered in kind), optionally
-// DEFLATE-compressed per frame (wire.StreamFlagDeflate). One connection
-// per session is the native mode — Fabric.Call multiplexes over a cached
-// session pool, and OpenSession hands out dedicated connections.
+// order by response frames. One connection per session is the native mode
+// — Fabric.Call multiplexes over a cached session pool, and OpenSession
+// hands out dedicated connections.
 //
 // Discovery and advertisement mirror the HTTP fabric's /nodes and
 // /advertise documents: the reserved node name "_fabric" serves the
@@ -36,13 +30,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/transport"
 	"repro/internal/transport/streamcore"
 	"repro/internal/transport/wire"
@@ -50,10 +42,9 @@ import (
 
 // Compile-time interface checks against the contracts in internal/transport.
 var (
-	_ transport.Fabric         = (*Fabric)(nil)
-	_ transport.FaultInjector  = (*Fabric)(nil)
-	_ transport.StreamFabric   = (*Fabric)(nil)
-	_ transport.ElidingSession = (*boundSession)(nil)
+	_ transport.Fabric        = (*Fabric)(nil)
+	_ transport.FaultInjector = (*Fabric)(nil)
+	_ transport.StreamFabric  = (*Fabric)(nil)
 )
 
 // Scheme prefixes a TCP fabric's advertised base URL ("tcp://host:port"),
@@ -65,10 +56,9 @@ const Scheme = "tcp://"
 // and advertisement methods; real node names must not collide with it.
 const fabricNode = "_fabric"
 
-// maxFrameBytes bounds one frame payload in either direction, raw or
-// inflated (64 MiB ~ a 16M-parameter checkpoint frame), mirroring the HTTP
-// fabric's RPC body bound so a hostile length prefix or deflate bomb
-// cannot force a huge allocation.
+// maxFrameBytes bounds one frame payload in either direction (64 MiB ~ a
+// 16M-parameter checkpoint frame), mirroring the HTTP fabric's bound so a
+// hostile length prefix cannot force a huge allocation.
 const maxFrameBytes = 64 << 20
 
 // maxIdleSessionsPerPeer caps the cached Call sessions kept per
@@ -80,17 +70,11 @@ type Options struct {
 	// Listen is the TCP listen address (e.g. "127.0.0.1:7071"; port 0
 	// picks a free port).
 	Listen string
-	// Codec selects the preferred wire codec: "gob" (default), "json", or
-	// "bin". As on the HTTP fabric, bin is negotiated: it is used only
-	// toward peers whose discovery document advertised it (every tcp build
-	// does), with gob as the universal fallback. Serving decodes all three
-	// by frame sniffing and answers in kind.
+	// Codec names the wire codec. Only "" and "bin" are accepted; New
+	// rejects anything else.
+	//
+	// Deprecated: wire.Binary is the only codec; leave the field empty.
 	Codec string
-	// Compress names the compress.Codec this fabric prefers on the wire
-	// ("" or "none" disables). When the codec includes a streaming stage
-	// (Streams() true, e.g. "streamed" or "flate"), large frames toward
-	// capability-advertising peers are DEFLATE-compressed per frame.
-	Compress string
 	// AdvertiseAddr is the address peers should dial, with or without the
 	// tcp:// prefix. Defaults to the bound address, which is correct on
 	// localhost; set it explicitly behind NAT.
@@ -100,37 +84,28 @@ type Options struct {
 	// CallTimeout bounds one call end to end (default 30s), enforced with
 	// connection deadlines so a blackholed peer fails fast.
 	CallTimeout time.Duration
-	// AckElide lets this fabric's streamed sessions send no-ack frames
-	// toward peers that advertised the ack-elide capability
+	// AckElide lets this fabric's sessions send no-ack frames toward
+	// peers that advertised the ack-elide capability
 	// (wire.Capabilities.AckElide): non-final upload chunks ride the
-	// stream unanswered and coalesce into writev batches. Off, every
-	// streamed call keeps its per-frame acknowledgement. Serving no-ack
-	// frames is unconditional — the knob only governs what this fabric
-	// sends.
+	// stream unanswered and coalesce into writev batches. Off, every call
+	// keeps its per-frame acknowledgement. Serving no-ack frames is
+	// unconditional — the knob only governs what this fabric sends.
 	AckElide bool
 }
 
 // Fabric is the raw-TCP transport.Fabric for one process. It is safe for
 // concurrent use.
 type Fabric struct {
-	codec        wire.Codec
-	binPreferred bool
-	fallback     wire.Codec
-	baseAddr     string // host:port peers dial
-	ln           net.Listener
-	compressName string
-	deflateBody  bool
-	callTimeout  time.Duration
-	ackElide     bool
+	baseAddr    string // host:port peers dial
+	ln          net.Listener
+	callTimeout time.Duration
+	ackElide    bool
 
-	mu       sync.RWMutex
-	local    map[string]transport.Handler
-	routes   map[string]string            // node name -> peer host:port
-	peerCaps map[string]wire.Capabilities // peer host:port -> capabilities
-
-	// Faults is the injected-fault table shared with the HTTP backend,
-	// promoted so Fabric implements transport.FaultInjector.
-	transport.Faults
+	// Table holds the served nodes, routes (node -> peer host:port, the
+	// tcp:// prefix stripped), peer capabilities and injected faults; its
+	// methods (AddRoute, Nodes, Routes, PeerCapabilities, the
+	// FaultInjector surface) are the fabric's.
+	streamcore.Table
 
 	// counters feed Stats; the shared engine updates them on both halves.
 	counters streamcore.Counters
@@ -150,25 +125,8 @@ type Fabric struct {
 // New binds the listener and starts serving. The returned fabric is ready
 // for Register/Call immediately; Close releases the port.
 func New(opts Options) (*Fabric, error) {
-	codecName := opts.Codec
-	if codecName == "" {
-		codecName = "gob"
-	}
-	codec, err := wire.ByName(codecName)
-	if err != nil {
-		return nil, err
-	}
-	compressName := opts.Compress
-	if compressName == "none" {
-		compressName = ""
-	}
-	deflateBody := false
-	if compressName != "" {
-		cc, err := compress.ByName(compressName)
-		if err != nil {
-			return nil, err
-		}
-		deflateBody = cc.Streams()
+	if opts.Codec != "" && opts.Codec != "bin" {
+		return nil, fmt.Errorf("tcptransport: wire codec %q: bin is the only codec", opts.Codec)
 	}
 	ln, err := net.Listen("tcp", opts.Listen)
 	if err != nil {
@@ -183,22 +141,14 @@ func New(opts Options) (*Fabric, error) {
 		callTimeout = 30 * time.Second
 	}
 	f := &Fabric{
-		codec:        codec,
-		binPreferred: codec.Name() == "bin",
-		fallback:     wire.Gob{},
-		baseAddr:     baseAddr,
-		ln:           ln,
-		compressName: compressName,
-		deflateBody:  deflateBody,
-		callTimeout:  callTimeout,
-		ackElide:     opts.AckElide,
-		local:        make(map[string]transport.Handler),
-		routes:       make(map[string]string),
-		peerCaps:     make(map[string]wire.Capabilities),
-		pool:         streamcore.NewPool(maxIdleSessionsPerPeer),
-		srvConns:     make(map[net.Conn]struct{}),
+		baseAddr:    baseAddr,
+		ln:          ln,
+		callTimeout: callTimeout,
+		ackElide:    opts.AckElide,
+		pool:        streamcore.NewPool(maxIdleSessionsPerPeer),
+		srvConns:    make(map[net.Conn]struct{}),
 	}
-	f.InitFaults(opts.Seed)
+	f.Init(baseAddr, trimScheme, opts.Seed)
 	f.wg.Add(1)
 	go f.acceptLoop()
 	return f, nil
@@ -206,13 +156,6 @@ func New(opts Options) (*Fabric, error) {
 
 // BaseURL returns the URL peers use to reach this fabric ("tcp://host:port").
 func (f *Fabric) BaseURL() string { return Scheme + f.baseAddr }
-
-// CodecName returns the active wire codec's name.
-func (f *Fabric) CodecName() string { return f.codec.Name() }
-
-// CompressName returns the preferred wire-compression codec name
-// (Options.Compress; "" when compression is disabled).
-func (f *Fabric) CompressName() string { return f.compressName }
 
 // Stats returns a snapshot of the fabric's traffic counters.
 func (f *Fabric) Stats() transport.Stats { return f.counters.Snapshot() }
@@ -242,106 +185,10 @@ func (f *Fabric) Close() error {
 // Register attaches a node served from this process. Re-registering a name
 // replaces its handler and clears any crash marker (a restarted process).
 func (f *Fabric) Register(name string, h transport.Handler) {
-	if h == nil {
-		panic("tcptransport: nil handler")
-	}
 	if name == fabricNode {
 		panic("tcptransport: node name " + fabricNode + " is reserved")
 	}
-	f.mu.Lock()
-	f.local[name] = h
-	f.mu.Unlock()
-	f.ClearCrash(name)
-}
-
-// Unregister detaches a locally served node.
-func (f *Fabric) Unregister(name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.local, name)
-}
-
-// AddRoute teaches this fabric that node lives at a peer fabric's address
-// (with or without the tcp:// prefix).
-func (f *Fabric) AddRoute(node, addr string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.routes[node] = strings.TrimPrefix(addr, Scheme)
-}
-
-// Nodes returns the locally served, non-crashed node names, sorted.
-func (f *Fabric) Nodes() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.local))
-	for name := range f.local {
-		if !f.Crashed(name) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Routes returns a copy of the remote routes this fabric knows (node name
-// -> address, without the tcp:// prefix), from AddRoute, Advertise/
-// Discover exchanges, and gossip. It is what selfDoc gossips onward.
-func (f *Fabric) Routes() map[string]string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[string]string, len(f.routes))
-	for node, addr := range f.routes {
-		out[node] = addr
-	}
-	return out
-}
-
-// checkCall resolves where to reach to and applies the injected-fault
-// checks in the in-memory Network's order (unknown node first, then the
-// shared transport.Faults table); every streamed call runs through it, so
-// fault parity holds frame by frame.
-func (f *Fabric) checkCall(from, to, method string) (addr string, isLocal bool, err error) {
-	f.mu.RLock()
-	_, isLocal = f.local[to]
-	route := f.routes[to]
-	f.mu.RUnlock()
-
-	addr = route
-	if isLocal {
-		addr = f.baseAddr
-	}
-	if addr == "" {
-		return "", false, fmt.Errorf("%w: %s", transport.ErrUnknownNode, to)
-	}
-	if err := f.CheckCall(from, to, method); err != nil {
-		return "", false, err
-	}
-	return addr, isLocal, nil
-}
-
-// peerCapabilities returns the capability document governing calls toward
-// addr. Locally served nodes get this build's own document; unknown peers
-// get the zero value — but unlike HTTP (where a /v1/ peer is a real
-// possibility) every tcp peer necessarily runs this code, so the zero
-// value only means "not yet discovered" and gob remains the safe default.
-func (f *Fabric) peerCapabilities(addr string, isLocal bool) wire.Capabilities {
-	if isLocal {
-		return selfCapabilities()
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.peerCaps[addr]
-}
-
-func selfCapabilities() wire.Capabilities {
-	return wire.Capabilities{
-		API:      wire.APIv2,
-		Compress: compress.Names(),
-		Codecs:   wire.DecodableCodecs(),
-		Stream:   true,
-		Trace:    true,
-		AckElide: true,
-	}
+	f.Table.Register(name, h)
 }
 
 // --- client side ---
@@ -349,11 +196,7 @@ func selfCapabilities() wire.Capabilities {
 // dialSession opens a connection to addr, sends the hello pinning node,
 // and registers the resulting engine session for Close bookkeeping. The
 // wire.Request frame carries From, so pooled sessions serve any caller.
-func (f *Fabric) dialSession(addr, node string, caps wire.Capabilities) (*streamcore.Session, error) {
-	enc := f.codec
-	if f.binPreferred && !caps.SupportsBinary() {
-		enc = f.fallback
-	}
+func (f *Fabric) dialSession(addr, node string) (*streamcore.Session, error) {
 	conn, err := net.DialTimeout("tcp", addr, f.callTimeout)
 	if err != nil {
 		return nil, err
@@ -369,15 +212,12 @@ func (f *Fabric) dialSession(addr, node string, caps wire.Capabilities) (*stream
 		return nil, err
 	}
 	s := streamcore.NewSession(nc, streamcore.Config{
-		Codec:       enc,
-		Deflate:     f.deflateBody && caps.SupportsCompression(),
 		Node:        node,
 		Prefix:      "tcptransport",
 		CallTimeout: f.callTimeout,
 		MaxFrame:    maxFrameBytes,
 		Counters:    &f.counters,
 	})
-	s.Addr = addr
 	if !f.pool.Track(s) {
 		conn.Close()
 		return nil, errors.New("tcptransport: fabric closed")
@@ -385,126 +225,39 @@ func (f *Fabric) dialSession(addr, node string, caps wire.Capabilities) (*stream
 	return s, nil
 }
 
-func sessionKey(addr, node string) string { return addr + "|" + node }
-
-// acquireSession pops a cached idle session for (addr, node) or dials a
-// fresh one.
-func (f *Fabric) acquireSession(addr, node string, caps wire.Capabilities) (s *streamcore.Session, fresh bool, err error) {
-	if s = f.pool.Take(sessionKey(addr, node)); s != nil {
-		return s, false, nil
-	}
-	s, err = f.dialSession(addr, node, caps)
-	return s, true, err
-}
-
 // Call implements transport.Fabric: fault checks in the in-memory order,
-// then one framed request over a cached streaming session to wherever the
-// callee lives — through the loopback listener when it is this process, so
-// every call exercises the full TCP wire path. A broken cached session
-// (peer restarted) is discarded and the call retried once on a fresh
-// connection.
+// then one framed request over a pooled streaming session
+// (streamcore.Pool.Call) to wherever the callee lives — through the
+// loopback listener when it is this process, so every call exercises the
+// full TCP wire path.
 func (f *Fabric) Call(from, to, method string, payload any) (any, error) {
-	addr, isLocal, err := f.checkCall(from, to, method)
+	addr, _, err := f.Resolve(from, to, method)
 	if err != nil {
 		return nil, err
 	}
-	caps := f.peerCapabilities(addr, isLocal)
-	for {
-		s, fresh, err := f.acquireSession(addr, to, caps)
+	return f.pool.Call(addr+"|"+to, func() (*streamcore.Session, error) {
+		s, err := f.dialSession(addr, to)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, to, err)
+			return nil, fmt.Errorf("%s unreachable: %w", to, err)
 		}
-		out, err, wrote := s.Do(from, method, payload)
-		if err == nil {
-			// Success stands even if a deadline marked the session broken
-			// afterwards; Release keeps or discards accordingly.
-			f.pool.Release(sessionKey(addr, to), s)
-			return out, nil
-		}
-		if !s.Broken() {
-			// Application or wire-kind error over a healthy session.
-			f.pool.Release(sessionKey(addr, to), s)
-			return nil, err
-		}
-		f.pool.Discard(s)
-		if !fresh && !wrote {
-			// Stale pooled conn, nothing sent: safe to retry on another
-			// connection (the POST-path equivalent of dialing anew). Once
-			// bytes may have reached the peer the call is never resent —
-			// at-most-once; component failover owns the retry decision.
-			continue
-		}
-		return nil, err
-	}
+		return s, nil
+	}, from, method, payload)
 }
 
-// boundSession is a Session pinned to a (from, to) pair over a dedicated
-// connection — the one-connection-per-session native mode.
-type boundSession struct {
-	f        *Fabric
-	s        *streamcore.Session
-	from, to string
-	elide    bool
-	closedMk bool
-}
-
-// Call implements transport.Session: the same injected-fault checks as
-// Fabric.Call run per call, then the frame rides the pinned connection.
-func (b *boundSession) Call(method string, payload any) (any, error) {
-	if b.closedMk {
-		return nil, fmt.Errorf("%w: session closed", transport.ErrCrashed)
-	}
-	if _, _, err := b.f.checkCall(b.from, b.to, method); err != nil {
-		return nil, err
-	}
-	out, err, _ := b.s.Do(b.from, method, payload)
-	return out, err
-}
-
-// ElidesAcks implements transport.ElidingSession: true only when this
-// fabric has ack elision enabled and the peer negotiated the capability.
-func (b *boundSession) ElidesAcks() bool { return b.elide && !b.closedMk }
-
-// SendNoAck implements transport.ElidingSession: the same injected-fault
-// checks run per elided call (fault parity frame by frame), then the no-ack
-// frame queues to coalesce into the session's next flush.
-func (b *boundSession) SendNoAck(method string, payload any) error {
-	if b.closedMk {
-		return fmt.Errorf("%w: session closed", transport.ErrCrashed)
-	}
-	if _, _, err := b.f.checkCall(b.from, b.to, method); err != nil {
-		return err
-	}
-	return b.s.SendNoAck(b.from, method, payload)
-}
-
-// Close implements transport.Session; the connection close is the server's
-// natural end-of-session signal.
-func (b *boundSession) Close() error {
-	if b.closedMk {
-		return nil
-	}
-	b.closedMk = true
-	b.f.pool.Discard(b.s)
-	return nil
-}
-
-// OpenSession implements transport.StreamFabric: a dedicated connection
-// per session (every tcp peer streams; there is no degraded mode). The
-// session elides acks only when this fabric opted in and the peer
-// advertised the capability — otherwise per-chunk acks keep flowing,
-// bit-identically to the pre-elision protocol.
+// OpenSession implements transport.StreamFabric: one dedicated connection
+// per session. The session elides acks only when this fabric opted in and
+// the peer advertised the capability — otherwise per-chunk acks keep
+// flowing.
 func (f *Fabric) OpenSession(from, to string) (transport.Session, error) {
-	addr, isLocal, err := f.checkCall(from, to, "open-session")
+	addr, isLocal, err := f.Resolve(from, to, "open-session")
 	if err != nil {
 		return nil, err
 	}
-	caps := f.peerCapabilities(addr, isLocal)
-	s, err := f.dialSession(addr, to, caps)
+	s, err := f.dialSession(addr, to)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s unreachable: %v", transport.ErrCrashed, to, err)
 	}
-	return &boundSession{f: f, s: s, from: from, to: to, elide: f.ackElide && caps.SupportsAckElide()}, nil
+	return streamcore.NewBound(f.pool, s, from, to, f.ackElide && f.Elides(addr, isLocal), f.Check), nil
 }
 
 // --- server side ---
@@ -553,10 +306,9 @@ func (f *Fabric) serveConn(conn net.Conn) {
 		return
 	}
 	streamcore.Serve(nc, streamcore.ServeConfig{
-		DefaultCodec: f.codec,
-		MaxFrame:     maxFrameBytes,
-		Prefix:       "tcptransport",
-		Counters:     &f.counters,
+		MaxFrame: maxFrameBytes,
+		Prefix:   "tcptransport",
+		Counters: &f.counters,
 		Invoke: func(req *wire.Request) *wire.Response {
 			return f.dispatch(node, req)
 		},
@@ -574,80 +326,40 @@ func (f *Fabric) dispatch(node string, req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{Payload: out}
 	}
-	f.mu.RLock()
-	h, ok := f.local[node]
-	f.mu.RUnlock()
-
-	switch {
-	case !ok:
-		return &wire.Response{Kind: transport.KindUnknownNode, Err: node}
-	case f.Crashed(node):
-		return &wire.Response{Kind: transport.KindCrashed, Err: node}
-	case f.Cut(req.From, node):
-		return &wire.Response{Kind: transport.KindPartitioned, Err: req.From + " <-> " + node}
-	}
-	out, err := safeInvoke(h, req.Method, req.Payload)
-	if err != nil {
-		return &wire.Response{Kind: transport.ErrorToKind(err), Err: err.Error()}
-	}
-	return &wire.Response{Payload: out}
-}
-
-// safeInvoke contains handler panics, exactly like the HTTP fabric:
-// network peers are untrusted, and a well-formed frame carrying the wrong
-// registered type must become a wire error, not a crash.
-func safeInvoke(h transport.Handler, method string, payload any) (out any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("tcptransport: handler panic on %q: %v", method, r)
-		}
-	}()
-	return h(method, payload)
+	return f.Invoke(node, req, "tcptransport")
 }
 
 // --- discovery / advertisement ---
 
-// nodesDoc is the discovery document exchanged by _nodes and _advertise,
-// carried as a JSON string payload: which nodes a fabric serves, where,
-// and what it is capable of — the same shape as the HTTP fabric's
-// /nodes body, so the capability negotiation surface is identical.
-type nodesDoc struct {
-	// BaseURL is the advertising fabric's dialable address (tcp://host:port).
-	BaseURL string `json:"base_url"`
-	// Nodes lists the fabric's locally served node names.
-	Nodes []string `json:"nodes"`
-	// Routes gossips the remote routes this fabric has learned (node name
-	// -> address), making discovery transitive — the same hint surface as
-	// the HTTP fabric's document; local registrations always win over
-	// gossiped routes.
-	Routes map[string]string `json:"routes,omitempty"`
-	wire.Capabilities
-}
+// The discovery document (streamcore.Doc) travels as a JSON string
+// payload of the reserved node's _nodes and _advertise methods — the same
+// shape as the HTTP fabric's /nodes body, so the capability negotiation
+// surface is identical.
 
-func (f *Fabric) selfDoc() nodesDoc {
-	return nodesDoc{BaseURL: f.BaseURL(), Nodes: f.Nodes(), Routes: f.Routes(), Capabilities: selfCapabilities()}
-}
+// trimScheme is the table's address normalization: routes and capability
+// keys are stored as bare host:port.
+func trimScheme(addr string) string { return strings.TrimPrefix(addr, Scheme) }
 
 // fabricMethod serves the reserved-node methods.
 func (f *Fabric) fabricMethod(req *wire.Request) (any, error) {
 	switch req.Method {
 	case "_nodes":
-		doc, err := json.Marshal(f.selfDoc())
+		doc, err := json.Marshal(f.SelfDoc(f.BaseURL()))
 		if err != nil {
 			return nil, err
 		}
 		return string(doc), nil
 	case "_advertise":
 		raw, _ := req.Payload.(string)
-		var doc nodesDoc
+		var doc streamcore.Doc
 		if err := json.Unmarshal([]byte(raw), &doc); err != nil {
 			return nil, fmt.Errorf("tcptransport: decoding advertisement: %w", err)
 		}
 		if doc.BaseURL == "" {
 			return nil, errors.New("tcptransport: advertisement missing base_url")
 		}
-		f.recordPeer(doc)
-		self, err := json.Marshal(f.selfDoc())
+		f.Record(doc)
+		self, err := json.Marshal(f.SelfDoc(f.BaseURL()))
 		if err != nil {
 			return nil, err
 		}
@@ -657,44 +369,10 @@ func (f *Fabric) fabricMethod(req *wire.Request) (any, error) {
 	}
 }
 
-// recordPeer stores a peer's routes and advertised capabilities. Gossiped
-// third-party routes are adopted as-is (newest gossip wins); nodes this
-// fabric serves locally, and routes pointing back at this fabric, are
-// skipped — mirroring the HTTP fabric.
-func (f *Fabric) recordPeer(doc nodesDoc) {
-	addr := strings.TrimPrefix(doc.BaseURL, Scheme)
-	for _, node := range doc.Nodes {
-		f.AddRoute(node, addr)
-	}
-	self := f.baseAddr
-	for node, base := range doc.Routes {
-		base = strings.TrimPrefix(base, Scheme)
-		f.mu.RLock()
-		_, isLocal := f.local[node]
-		f.mu.RUnlock()
-		if !isLocal && base != self {
-			f.AddRoute(node, base)
-		}
-	}
-	f.mu.Lock()
-	f.peerCaps[addr] = doc.Capabilities
-	f.mu.Unlock()
-}
-
-// PeerCapabilities returns what the fabric at addr (with or without the
-// tcp:// prefix) advertised — the zero value for unknown peers.
-func (f *Fabric) PeerCapabilities(addr string) wire.Capabilities {
-	addr = strings.TrimPrefix(addr, Scheme)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.peerCaps[addr]
-}
-
 // fabricCall opens a short-lived session to the reserved node at addr and
 // performs one method call — the client half of discovery/advertisement.
 func (f *Fabric) fabricCall(addr, method string, payload any) (string, error) {
-	addr = strings.TrimPrefix(addr, Scheme)
-	s, err := f.dialSession(addr, fabricNode, wire.Capabilities{})
+	s, err := f.dialSession(trimScheme(addr), fabricNode)
 	if err != nil {
 		return "", fmt.Errorf("tcptransport: reaching fabric at %s: %w", addr, err)
 	}
@@ -711,7 +389,7 @@ func (f *Fabric) fabricCall(addr, method string, payload any) (string, error) {
 // fabric at peerAddr (so the peer can route calls back here) and returns
 // the peer's own node list for symmetric route setup.
 func (f *Fabric) Advertise(peerAddr string) ([]string, error) {
-	self, err := json.Marshal(f.selfDoc())
+	self, err := json.Marshal(f.SelfDoc(f.BaseURL()))
 	if err != nil {
 		return nil, err
 	}
@@ -719,11 +397,11 @@ func (f *Fabric) Advertise(peerAddr string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcptransport: advertising to %s: %w", peerAddr, err)
 	}
-	var doc nodesDoc
+	var doc streamcore.Doc
 	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
 		return nil, err
 	}
-	f.recordPeer(doc)
+	f.Record(doc)
 	return doc.Nodes, nil
 }
 
@@ -735,13 +413,13 @@ func (f *Fabric) Discover(addr string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcptransport: listing nodes at %s: %w", addr, err)
 	}
-	var doc nodesDoc
+	var doc streamcore.Doc
 	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
 		return nil, err
 	}
 	// Route through the address this fabric actually reached the peer at:
 	// behind NAT the advertised one may be unreachable from here.
 	doc.BaseURL = addr
-	f.recordPeer(doc)
+	f.Record(doc)
 	return doc.Nodes, nil
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/transport/streamcore"
-	"repro/internal/transport/wire"
 )
 
 func newTestFabric(t *testing.T, opts Options) *Fabric {
@@ -34,31 +33,29 @@ func newTestFabric(t *testing.T, opts Options) *Fabric {
 	return f
 }
 
-// TestCallRoundTrip drives registered-message calls through the loopback
-// listener in every codec configuration.
+// TestCallRoundTrip drives a registered-message call through the loopback
+// listener.
 func TestCallRoundTrip(t *testing.T) {
-	for _, codec := range []string{"gob", "bin", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			f := newTestFabric(t, Options{Codec: codec})
-			f.Register("agg", func(method string, payload any) (any, error) {
-				req := payload.(server.JoinRequest)
-				return server.JoinResponse{Accepted: true, SessionID: uint64(req.ClientID) + 1}, nil
-			})
-			out, err := f.Call("client-7", "agg", "join", server.JoinRequest{TaskID: "t", ClientID: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp := out.(server.JoinResponse); !resp.Accepted || resp.SessionID != 8 {
-				t.Fatalf("response = %+v", resp)
-			}
-		})
+	f := newTestFabric(t, Options{})
+	f.Register("agg", func(method string, payload any) (any, error) {
+		req := payload.(server.JoinRequest)
+		return server.JoinResponse{Accepted: true, SessionID: uint64(req.ClientID) + 1}, nil
+	})
+	out, err := f.Call("client-7", "agg", "join", server.JoinRequest{TaskID: "t", ClientID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := out.(server.JoinResponse); !resp.Accepted || resp.SessionID != 8 {
+		t.Fatalf("response = %+v", resp)
+	}
+	if _, err := New(Options{Listen: "127.0.0.1:0", Codec: "gob"}); err == nil {
+		t.Fatal("retired codec gob accepted")
 	}
 }
 
-// TestCompressedFrames exercises the per-frame deflate stage with a
-// model-sized payload.
-func TestCompressedFrames(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin", Compress: "streamed"})
+// TestModelSizedFrames carries a model-sized download response.
+func TestModelSizedFrames(t *testing.T) {
+	f := newTestFabric(t, Options{})
 	f.Register("agg", func(method string, payload any) (any, error) {
 		dl := payload.(server.DownloadRequest)
 		params := make([]float32, 4096)
@@ -88,8 +85,7 @@ func TestDiscoveryAndAdvertise(t *testing.T) {
 	if len(nodes) != 1 || nodes[0] != "node-b" {
 		t.Fatalf("discovered %v", nodes)
 	}
-	caps := a.PeerCapabilities(b.BaseURL())
-	if !caps.SupportsStream() || !caps.SupportsBinary() || !caps.SupportsCompression() {
+	if caps := a.PeerCapabilities(b.BaseURL()); !caps.AckElide {
 		t.Fatalf("peer capabilities = %+v", caps)
 	}
 	if out, err := a.Call("tester", "node-b", "ping", nil); err != nil || out != "from-b" {
@@ -180,7 +176,7 @@ func TestLossInjection(t *testing.T) {
 // TestOpenSessionPipelines runs a session's worth of calls over one
 // dedicated connection.
 func TestOpenSessionPipelines(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin"})
+	f := newTestFabric(t, Options{})
 	var seen atomic.Int64
 	f.Register("agg", func(method string, payload any) (any, error) {
 		seen.Add(1)
@@ -241,14 +237,13 @@ func (discardConn) SetDeadline(time.Time) error { return nil }
 func (discardConn) Close() error                { return nil }
 
 // TestPipelinedChunkSendAllocs is the alloc gate on the streaming hot
-// path: with the bin codec, sending one pipelined no-ack upload chunk
+// path: sending one pipelined no-ack upload chunk
 // (encode the frame into pooled scratch, length-prefix it, coalesce and
 // write it) must stay <= 2 heap allocations — the same discipline the wire
 // benches enforce on the decode side. Regressions here mean the engine's
 // per-session scratch reuse broke.
 func TestPipelinedChunkSendAllocs(t *testing.T) {
 	s := streamcore.NewSession(discardConn{}, streamcore.Config{
-		Codec:    wire.Binary{},
 		Node:     "agg",
 		Prefix:   "tcptransport",
 		MaxFrame: maxFrameBytes,
@@ -356,7 +351,7 @@ func TestRouteGossipIsTransitive(t *testing.T) {
 // counters prove acks were actually elided and the coalesced flush batched
 // the queued frames.
 func TestAckElideEndToEnd(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin", AckElide: true})
+	f := newTestFabric(t, Options{AckElide: true})
 	// The handler runs on the serving goroutine; the only ordering toward
 	// the test's final read is socket I/O, which the race detector cannot
 	// see, so the record needs its own lock.
@@ -409,7 +404,7 @@ func TestAckElideEndToEnd(t *testing.T) {
 // call is answered with the held response instead of being invoked. This
 // is what lets an elided chunk train fail loudly on its Done chunk.
 func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
-	f := newTestFabric(t, Options{Codec: "bin", AckElide: true})
+	f := newTestFabric(t, Options{AckElide: true})
 	var mu sync.Mutex
 	var methods []string
 	f.Register("agg", func(method string, payload any) (any, error) {
@@ -450,9 +445,9 @@ func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
 }
 
 // TestAckElideDegradesForUnknownCapsPeer: toward a peer whose capability
-// document was never fetched (the zero document — a /v1 peer), the session
-// still streams (TCP always does) but must keep per-chunk acknowledgements:
-// the elision surface reports false and no acks are elided.
+// document was never fetched (the zero document), the session must keep
+// per-chunk acknowledgements: the elision surface reports false and no
+// acks are elided.
 func TestAckElideDegradesForUnknownCapsPeer(t *testing.T) {
 	srv := newTestFabric(t, Options{})
 	srv.Register("node", func(method string, payload any) (any, error) {

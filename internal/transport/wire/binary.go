@@ -1,17 +1,12 @@
-// The binary fast-path codec. Profiling the loopback loadtest showed the
-// serving path CPU-bound inside encoding/gob: every hot RPC (check-in,
-// report, chunk upload, download) pays reflection over interface-typed
-// payloads, and model-sized []float32 fields are walked element by element.
-// Binary ("bin") replaces that with a hand-rolled little-endian wire form
-// for the hot messages — fixed headers, length-prefixed fields, bulk vector
+// The binary codec. Profiling the loopback loadtest showed the serving
+// path CPU-bound inside encoding/gob: every hot RPC (check-in, report,
+// chunk upload, download) paid reflection over interface-typed payloads,
+// and model-sized []float32 fields were walked element by element. Binary
+// ("bin") replaces that with a hand-rolled little-endian wire form for the
+// hot messages — fixed headers, length-prefixed fields, bulk vector
 // copies, zero reflection — and keeps a gob envelope as the in-frame
-// fallback for cold messages (task specs, heartbeat reports), so every
-// registered message still crosses.
-//
-// Like wire compression, bin is a negotiated /v2/ capability (versioning
-// rule 4): a fabric sends bin frames only to peers whose discovery document
-// advertised the "bin" codec, and speaks gob to everyone else. A /v1/ peer
-// keeps receiving exactly the gob bytes it always did.
+// fallback for cold messages (task specs, heartbeat reports,
+// assign-client), so every registered message still crosses.
 //
 // Hot messages register a hand-rolled encoder/decoder pair here via
 // BinaryMessage + RegisterBinary (internal/server owns the message types,
@@ -83,16 +78,6 @@ type ResponseSnapshot interface {
 	SnapshotResponseBuffers() any
 }
 
-// Appender is the allocation-free encode surface a codec may offer:
-// encoding into a caller-provided buffer instead of a fresh allocation.
-// The HTTP transport detects it and recycles frame buffers through a pool.
-type Appender interface {
-	// AppendRequest appends an encoded request frame to dst.
-	AppendRequest(dst []byte, r *Request) ([]byte, error)
-	// AppendResponse appends an encoded response frame to dst.
-	AppendResponse(dst []byte, r *Response) ([]byte, error)
-}
-
 // BinaryIDMin is the first message ID available to RegisterBinary; smaller
 // values are payload tags owned by this package.
 const BinaryIDMin = 16
@@ -149,20 +134,13 @@ func binaryDecoder(id byte) func([]byte) (any, error) {
 
 // --- the codec ---
 
-// Binary is the zero-reflection fast-path codec ("bin"): fixed little-
-// endian header, length-prefixed fields, bulk []float32/[]uint32 copies
-// for the hot control-plane messages, gob fallback inside the frame for
-// everything else. Negotiated as a /v2/ capability; gob remains the
-// universal default.
+// Binary is the wire codec: a fixed little-endian header ("PB" + version
+// + frame kind), length-prefixed fields, bulk []float32/[]uint32 copies
+// for the hot control-plane messages, and a gob envelope inside the frame
+// for everything else. It is a zero-size value; every fabric speaks it.
 type Binary struct{}
 
-// Name implements Codec.
-func (Binary) Name() string { return "bin" }
-
-// ContentType implements Codec.
-func (Binary) ContentType() string { return "application/x-papaya-bin" }
-
-// AppendRequest implements Appender.
+// AppendRequest appends an encoded request frame to dst.
 func (Binary) AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	dst = append(dst, 'P', 'B', Version, binFrameRequest)
 	dst = AppendString(dst, r.From)
@@ -170,19 +148,13 @@ func (Binary) AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	return AppendPayloadBinary(dst, r.Payload)
 }
 
-// AppendResponse implements Appender.
+// AppendResponse appends an encoded response frame to dst.
 func (Binary) AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	dst = append(dst, 'P', 'B', Version, binFrameResponse)
 	dst = AppendString(dst, r.Err)
 	dst = AppendString(dst, r.Kind)
 	return AppendPayloadBinary(dst, r.Payload)
 }
-
-// EncodeRequest implements Codec.
-func (b Binary) EncodeRequest(r *Request) ([]byte, error) { return b.AppendRequest(nil, r) }
-
-// EncodeResponse implements Codec.
-func (b Binary) EncodeResponse(r *Response) ([]byte, error) { return b.AppendResponse(nil, r) }
 
 func checkBinaryHeader(b []byte, kind byte) ([]byte, error) {
 	if len(b) < 4 || b[0] != 'P' || b[1] != 'B' {
@@ -197,7 +169,7 @@ func checkBinaryHeader(b []byte, kind byte) ([]byte, error) {
 	return b[4:], nil
 }
 
-// DecodeRequest implements Codec.
+// DecodeRequest parses a request frame.
 func (Binary) DecodeRequest(b []byte) (*Request, error) {
 	body, err := checkBinaryHeader(b, binFrameRequest)
 	if err != nil {
@@ -218,7 +190,7 @@ func (Binary) DecodeRequest(b []byte) (*Request, error) {
 	return &Request{From: from, Method: method, Payload: payload}, nil
 }
 
-// DecodeResponse implements Codec.
+// DecodeResponse parses a response frame.
 func (Binary) DecodeResponse(b []byte) (*Response, error) {
 	body, err := checkBinaryHeader(b, binFrameResponse)
 	if err != nil {
@@ -273,8 +245,13 @@ func AppendPayloadBinary(dst []byte, v any) ([]byte, error) {
 		}
 		return bm.AppendBinary(append(dst, id)), nil
 	}
-	// Cold path: gob envelope. The message must still be registered (rule
-	// 2) — unregistered types fail here exactly as they do under Gob.
+	return appendGobPayload(dst, v)
+}
+
+// appendGobPayload is the cold path of AppendPayloadBinary: the gob
+// envelope. The message must still be registered (rule 2): unregistered
+// types fail here.
+func appendGobPayload(dst []byte, v any) ([]byte, error) {
 	if _, err := lookupName(v); err != nil {
 		return nil, err
 	}

@@ -34,13 +34,13 @@ func FuzzBinaryDecode(f *testing.F) {
 		{From: "agg-0", Method: "agg-report", Payload: server.AggDirective{DropTasks: []string{"x"}}},
 	}
 	for _, r := range seedReqs {
-		frame, err := bin.EncodeRequest(r)
+		frame, err := bin.AppendRequest(nil, r)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame)
 	}
-	respFrame, err := bin.EncodeResponse(&wire.Response{Payload: benchDownload(16)})
+	respFrame, err := bin.AppendResponse(nil, &wire.Response{Payload: benchDownload(16)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if req, err := bin.DecodeRequest(frame); err == nil {
 			// Round-trip property: whatever decoded must re-encode.
-			if _, err := bin.EncodeRequest(req); err != nil {
+			if _, err := bin.AppendRequest(nil, req); err != nil {
 				t.Fatalf("decoded request does not re-encode: %v", err)
 			}
 			releasePayload(req.Payload)
 		}
 		if resp, err := bin.DecodeResponse(frame); err == nil {
-			if _, err := bin.EncodeResponse(resp); err != nil {
+			if _, err := bin.AppendResponse(nil, resp); err != nil {
 				t.Fatalf("decoded response does not re-encode: %v", err)
 			}
 		}

@@ -17,28 +17,34 @@ import (
 	"repro/internal/transport/wire"
 )
 
+// retiredDeflateFlag is stream-frame flag bit 0, the per-frame deflate
+// flag of earlier builds. No build sets it now; readers reject it.
+const retiredDeflateFlag = 0x1
+
 func FuzzStreamDecode(f *testing.F) {
 	// Seed with realistic sequences: a hello followed by codec frames of
-	// every shape, deflate-flagged frames, and deliberately broken ones.
+	// every shape, frames carrying the retired deflate bit (0x1, now an
+	// unknown flag the readers must reject), and deliberately broken ones.
 	bin := wire.Binary{}
-	reqFrame, err := bin.EncodeRequest(&wire.Request{From: "client-1", Method: "upload-chunk", Payload: benchChunk(16)})
+	reqFrame, err := bin.AppendRequest(nil, &wire.Request{From: "client-1", Method: "upload-chunk", Payload: benchChunk(16)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	respFrame, err := bin.EncodeResponse(&wire.Response{Payload: benchDownload(8)})
+	respFrame, err := bin.AppendResponse(nil, &wire.Response{Payload: benchDownload(8)})
 	if err != nil {
 		f.Fatal(err)
 	}
 	seq := wire.AppendStreamFrame(nil, 0, wire.AppendStreamHello(nil, "agg-0"))
 	seq = wire.AppendStreamFrame(seq, 0, reqFrame)
-	seq = wire.AppendStreamFrame(seq, wire.StreamFlagDeflate, respFrame)
+	seq = wire.AppendStreamFrame(seq, retiredDeflateFlag, respFrame)
 	f.Add(seq)
 	// A coalesced no-ack chunk train as the writev path produces it: several
-	// NoAck frames back to back in one buffer, a deflated one among them,
-	// closed by the acked frame that flushes the batch.
+	// NoAck frames back to back in one buffer, one carrying the retired
+	// deflate bit among them, closed by the acked frame that flushes the
+	// batch.
 	batch := wire.AppendStreamFrame(nil, wire.StreamFlagNoAck, reqFrame)
 	batch = wire.AppendStreamFrame(batch, wire.StreamFlagNoAck, reqFrame)
-	batch = wire.AppendStreamFrame(batch, wire.StreamFlagNoAck|wire.StreamFlagDeflate, respFrame)
+	batch = wire.AppendStreamFrame(batch, wire.StreamFlagNoAck|retiredDeflateFlag, respFrame)
 	batch = wire.AppendStreamFrame(batch, 0, reqFrame)
 	f.Add(batch)
 	f.Add(wire.AppendStreamFrame(nil, wire.StreamFlagNoAck, []byte("{}")))

@@ -24,7 +24,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	for i, p := range payloads {
 		flags := byte(0)
 		if i%2 == 1 {
-			flags = wire.StreamFlagDeflate
+			flags = wire.StreamFlagNoAck
 		}
 		buf = wire.AppendStreamFrame(buf, flags, p)
 	}
@@ -37,7 +37,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 		}
 		wantFlags := byte(0)
 		if i%2 == 1 {
-			wantFlags = wire.StreamFlagDeflate
+			wantFlags = wire.StreamFlagNoAck
 		}
 		if flags != wantFlags || !bytes.Equal(payload, p) {
 			t.Fatalf("frame %d: flags=%d payload %d bytes", i, flags, len(payload))
@@ -88,6 +88,15 @@ func TestStreamFrameBounds(t *testing.T) {
 	if _, _, _, err := wire.ReadStreamFrame(bad, 1<<20); err == nil {
 		t.Fatal("unknown flags accepted")
 	}
+	// The retired deflate bit is unknown too.
+	deflated := wire.AppendStreamFrame(nil, retiredDeflateFlag, []byte("x"))
+	if _, _, _, err := wire.ReadStreamFrame(deflated, 1<<20); err == nil {
+		t.Fatal("retired deflate flag accepted")
+	}
+	br = bufio.NewReader(bytes.NewReader(deflated))
+	if _, _, _, err := wire.ReadStreamFrameFrom(br, nil, 1<<20); err == nil {
+		t.Fatal("retired deflate flag accepted by reader")
+	}
 	// Empty frame (no flags byte) is malformed.
 	if _, _, _, err := wire.ReadStreamFrame(wire.AppendUvarint(nil, 0), 1<<20); err == nil {
 		t.Fatal("empty frame accepted")
@@ -110,23 +119,6 @@ func TestStreamHelloRoundTrip(t *testing.T) {
 	}
 	if _, err := wire.ParseStreamHello(append(wire.AppendStreamHello(nil, "n"), 'x')); err == nil {
 		t.Fatal("trailing bytes after hello accepted")
-	}
-}
-
-func TestCodecForFrame(t *testing.T) {
-	req := &wire.Request{From: "c", Method: "m", Payload: "p"}
-	for _, codec := range []wire.Codec{wire.Gob{}, wire.Binary{}, wire.JSON{}} {
-		frame, err := codec.EncodeRequest(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := wire.CodecForFrame(frame)
-		if !ok || got.Name() != codec.Name() {
-			t.Fatalf("sniffed %v for %s frame", got, codec.Name())
-		}
-	}
-	if _, ok := wire.CodecForFrame([]byte{0xff, 0xfe}); ok {
-		t.Fatal("garbage sniffed as a codec")
 	}
 }
 

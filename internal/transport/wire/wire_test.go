@@ -197,39 +197,32 @@ func TestEveryRegisteredMessageRoundTrips(t *testing.T) {
 		}
 	}
 
-	for _, codecName := range []string{"gob", "json", "bin"} {
-		codec, err := wire.ByName(codecName)
+	bin := wire.Binary{}
+	for name, in := range sam {
+		// Round trip as a request payload.
+		frame, err := bin.AppendRequest(nil, &wire.Request{From: "tester", Method: "m", Payload: in})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: encode request: %v", name, err)
 		}
-		t.Run(codecName, func(t *testing.T) {
-			for name, in := range sam {
-				// Round trip as a request payload.
-				frame, err := codec.EncodeRequest(&wire.Request{From: "tester", Method: "m", Payload: in})
-				if err != nil {
-					t.Fatalf("%s: encode request: %v", name, err)
-				}
-				req, err := codec.DecodeRequest(frame)
-				if err != nil {
-					t.Fatalf("%s: decode request: %v", name, err)
-				}
-				if req.From != "tester" || req.Method != "m" {
-					t.Fatalf("%s: envelope fields mangled: %+v", name, req)
-				}
-				checkRoundTrip(t, name, in, req.Payload)
+		req, err := bin.DecodeRequest(frame)
+		if err != nil {
+			t.Fatalf("%s: decode request: %v", name, err)
+		}
+		if req.From != "tester" || req.Method != "m" {
+			t.Fatalf("%s: envelope fields mangled: %+v", name, req)
+		}
+		checkRoundTrip(t, name, in, req.Payload)
 
-				// And as a response payload.
-				frame, err = codec.EncodeResponse(&wire.Response{Payload: in})
-				if err != nil {
-					t.Fatalf("%s: encode response: %v", name, err)
-				}
-				resp, err := codec.DecodeResponse(frame)
-				if err != nil {
-					t.Fatalf("%s: decode response: %v", name, err)
-				}
-				checkRoundTrip(t, name, in, resp.Payload)
-			}
-		})
+		// And as a response payload.
+		frame, err = bin.AppendResponse(nil, &wire.Response{Payload: in})
+		if err != nil {
+			t.Fatalf("%s: encode response: %v", name, err)
+		}
+		resp, err := bin.DecodeResponse(frame)
+		if err != nil {
+			t.Fatalf("%s: decode response: %v", name, err)
+		}
+		checkRoundTrip(t, name, in, resp.Payload)
 	}
 }
 
@@ -243,71 +236,47 @@ func TestChunkedUploadCrossesCodec(t *testing.T) {
 	for i := range delta {
 		delta[i] = float32(i) * 0.25
 	}
-	for _, codecName := range []string{"gob", "json", "bin"} {
-		codec, _ := wire.ByName(codecName)
-		t.Run(codecName, func(t *testing.T) {
-			got := make([]float32, numParams)
-			received, doneSeen := 0, false
-			for off := 0; off < numParams; off += chunkSize {
-				end := off + chunkSize
-				if end > numParams {
-					end = numParams
-				}
-				in := server.UploadChunk{
-					TaskID: "t", SessionID: 1, Offset: off,
-					Data: delta[off:end], Done: end == numParams, NumExamples: 4,
-				}
-				frame, err := codec.EncodeRequest(&wire.Request{From: "c", Method: "upload-chunk", Payload: in})
-				if err != nil {
-					t.Fatal(err)
-				}
-				req, err := codec.DecodeRequest(frame)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := req.Payload.(server.UploadChunk)
-				copy(got[c.Offset:], c.Data)
-				received += len(c.Data)
-				doneSeen = doneSeen || c.Done
-			}
-			if received != numParams || !doneSeen {
-				t.Fatalf("reassembly incomplete: %d/%d params, done=%v", received, numParams, doneSeen)
-			}
-			if !reflect.DeepEqual(got, delta) {
-				t.Fatalf("reassembled delta differs:\n in: %v\nout: %v", delta, got)
-			}
-		})
+	bin := wire.Binary{}
+	got := make([]float32, numParams)
+	received, doneSeen := 0, false
+	for off := 0; off < numParams; off += chunkSize {
+		end := off + chunkSize
+		if end > numParams {
+			end = numParams
+		}
+		in := server.UploadChunk{
+			TaskID: "t", SessionID: 1, Offset: off,
+			Data: delta[off:end], Done: end == numParams, NumExamples: 4,
+		}
+		frame, err := bin.AppendRequest(nil, &wire.Request{From: "c", Method: "upload-chunk", Payload: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := bin.DecodeRequest(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := req.Payload.(server.UploadChunk)
+		copy(got[c.Offset:], c.Data)
+		received += len(c.Data)
+		doneSeen = doneSeen || c.Done
+	}
+	if received != numParams || !doneSeen {
+		t.Fatalf("reassembly incomplete: %d/%d params, done=%v", received, numParams, doneSeen)
+	}
+	if !reflect.DeepEqual(got, delta) {
+		t.Fatalf("reassembled delta differs:\n in: %v\nout: %v", delta, got)
 	}
 }
 
 func TestVersionMismatchRejected(t *testing.T) {
-	gobCodec, _ := wire.ByName("gob")
-	frame, err := gobCodec.EncodeRequest(&wire.Request{From: "a", Method: "m", Payload: "x"})
+	bin := wire.Binary{}
+	frame, err := bin.AppendRequest(nil, &wire.Request{From: "a", Method: "m", Payload: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame[2] = 99 // corrupt the version byte
-	if _, err := gobCodec.DecodeRequest(frame); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version gob frame accepted: %v", err)
-	}
-
-	jsonCodec, _ := wire.ByName("json")
-	if _, err := jsonCodec.DecodeRequest([]byte(`{"v":99,"from":"a","method":"m"}`)); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version json frame accepted: %v", err)
-	}
-	if _, err := jsonCodec.DecodeResponse([]byte(`{"v":99}`)); err == nil {
-		t.Fatal("future-version json response accepted")
-	}
-
-	binCodec, _ := wire.ByName("bin")
-	bframe, err := binCodec.EncodeRequest(&wire.Request{From: "a", Method: "m", Payload: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bframe[2] = 99 // corrupt the version byte
-	if _, err := binCodec.DecodeRequest(bframe); err == nil ||
+	if _, err := bin.DecodeRequest(frame); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("future-version bin frame accepted: %v", err)
 	}
@@ -315,25 +284,22 @@ func TestVersionMismatchRejected(t *testing.T) {
 
 func TestUnregisteredTypeRejected(t *testing.T) {
 	type notRegistered struct{ X int }
-	if _, err := wire.MarshalAny(notRegistered{X: 1}); err == nil {
-		t.Fatal("unregistered type marshaled")
-	}
-	jsonCodec, _ := wire.ByName("json")
-	if _, err := jsonCodec.EncodeRequest(&wire.Request{Payload: notRegistered{}}); err == nil {
+	if _, err := (wire.Binary{}).AppendRequest(nil, &wire.Request{Payload: notRegistered{}}); err == nil {
 		t.Fatal("unregistered payload encoded")
 	}
-	if _, err := jsonCodec.DecodeRequest([]byte(`{"v":1,"payload":{"type":"papaya/v9/ghost","body":{}}}`)); err == nil {
-		t.Fatal("unknown type name decoded")
+	if _, err := wire.NewValue("papaya/v9/ghost"); err == nil {
+		t.Fatal("unknown type name resolved")
 	}
 }
 
 func TestNilAnyRoundTrips(t *testing.T) {
-	b, err := wire.MarshalAny(nil)
-	if err != nil || string(b) != "null" {
-		t.Fatalf("MarshalAny(nil) = %q, %v", b, err)
+	bin := wire.Binary{}
+	frame, err := bin.AppendResponse(nil, &wire.Response{Payload: nil})
+	if err != nil {
+		t.Fatal(err)
 	}
-	v, err := wire.UnmarshalAny(b)
-	if err != nil || v != nil {
-		t.Fatalf("UnmarshalAny(null) = %v, %v", v, err)
+	resp, err := bin.DecodeResponse(frame)
+	if err != nil || resp.Payload != nil {
+		t.Fatalf("nil payload round trip = %v, %v", resp, err)
 	}
 }
