@@ -2,8 +2,8 @@ package scenario_test
 
 // The scenario conformance suite: every committed fleet profile crossed
 // with every aggregation rule, on every transport fabric. The in-memory
-// cells always run (they are the `-race` tier); the two networked fabrics
-// are skipped under -short so `go test ./...` exercises the full matrix
+// cells always run (they are the `-race` tier); the networked cells are
+// skipped under -short so `go test ./...` exercises the full matrix
 // while the race step stays fast.
 
 import (
@@ -33,6 +33,29 @@ var scenarioFabrics = []scenarioFabric{
 	}},
 	{name: "tcp", make: func(t *testing.T, seed int64) transport.Fabric {
 		return tcpFabric(t, tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
+	}},
+	// Historical names: each once selected a deleted gob/JSON, per-call
+	// POST or DEFLATE path and now pins one configuration the one wire
+	// still accepts, with clients calling per request rather than pinning
+	// a session (see the server conformance table).
+	{name: "http", make: func(t *testing.T, seed int64) transport.Fabric {
+		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
+	}},
+	{name: "http-bin", make: func(t *testing.T, seed int64) transport.Fabric {
+		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin"})
+	}},
+	{name: "http-deflate", make: func(t *testing.T, seed int64) transport.Fabric {
+		return httpFabric(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Stream: true})
+	}},
+	{name: "http-deflate-bin", make: func(t *testing.T, seed int64) transport.Fabric {
+		return httpFabric(t, httptransport.Options{
+			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true, AckElide: true,
+		})
+	}},
+	{name: "tcp-bin-deflate", make: func(t *testing.T, seed int64) transport.Fabric {
+		return tcpFabric(t, tcptransport.Options{
+			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", AckElide: true,
+		})
 	}},
 }
 
@@ -84,7 +107,7 @@ const (
 )
 
 // TestScenarioConformance is the headline matrix: 3 committed profiles x
-// 3 aggregation rules x 3 fabrics, asserting convergence bounds,
+// 3 aggregation rules x 8 fabric cells, asserting convergence bounds,
 // throughput floors, and report self-consistency for every cell.
 func TestScenarioConformance(t *testing.T) {
 	for _, fx := range scenarioFabrics {

@@ -49,36 +49,71 @@ var fabricFactories = []fabricFactory{
 	// multitenant behaviour matrix — including faults injected
 	// mid-stream.
 	{name: "http-stream", elides: true, make: func(t *testing.T, seed int64) testFabric {
-		f, err := httptransport.New(httptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, AckElide: true,
-		})
-		if err != nil {
-			t.Fatalf("starting streaming http fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
+		return newHTTPCell(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, AckElide: true})
 	}},
 	// The raw-TCP fabric: no HTTP anywhere — pipelined wire frames over
 	// bare connections, with the same discovery/advertise and
 	// fault-injection semantics.
 	{name: "tcp", elides: true, make: func(t *testing.T, seed int64) testFabric {
-		f, err := tcptransport.New(tcptransport.Options{
-			Listen: "127.0.0.1:0", Seed: seed, AckElide: true,
-		})
-		if err != nil {
-			t.Fatalf("starting tcp fabric: %v", err)
-		}
-		t.Cleanup(func() { _ = f.Close() })
-		return f
+		return newTCPCell(t, tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, AckElide: true})
 	}},
+	// The remaining cells keep their historical names, which once selected
+	// gob/JSON frames, per-call POSTs or DEFLATE. Those paths are gone; each
+	// name now pins one configuration the one wire still accepts, so the
+	// matrix proves that configuration preserves the full behaviour:
+	//
+	//   - http: zero-value options, so every call keeps its per-frame ack.
+	//   - http-bin: the deprecated Codec set to its one accepted value.
+	//   - http-deflate: the deprecated, ignored Stream flag.
+	//   - http-deflate-bin, tcp-bin-deflate: exactly the option sets the
+	//     benchmark harness passes, deprecated fields included.
+	{name: "http", make: func(t *testing.T, seed int64) testFabric {
+		return newHTTPCell(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed})
+	}},
+	{name: "http-bin", make: func(t *testing.T, seed int64) testFabric {
+		return newHTTPCell(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin"})
+	}},
+	{name: "http-deflate", make: func(t *testing.T, seed int64) testFabric {
+		return newHTTPCell(t, httptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Stream: true})
+	}},
+	{name: "http-deflate-bin", elides: true, make: func(t *testing.T, seed int64) testFabric {
+		return newHTTPCell(t, httptransport.Options{
+			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", Stream: true, AckElide: true,
+		})
+	}},
+	{name: "tcp-bin-deflate", elides: true, make: func(t *testing.T, seed int64) testFabric {
+		return newTCPCell(t, tcptransport.Options{
+			Listen: "127.0.0.1:0", Seed: seed, Codec: "bin", AckElide: true,
+		})
+	}},
+}
+
+func newHTTPCell(t *testing.T, o httptransport.Options) testFabric {
+	t.Helper()
+	f, err := httptransport.New(o)
+	if err != nil {
+		t.Fatalf("starting http fabric: %v", err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	return f
+}
+
+func newTCPCell(t *testing.T, o tcptransport.Options) testFabric {
+	t.Helper()
+	f, err := tcptransport.New(o)
+	if err != nil {
+		t.Fatalf("starting tcp fabric: %v", err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	return f
 }
 
 // forEachFabric runs a conformance test body once per backend per selector
 // mode: direct (one fabric call per forwarded request, the classic
 // selector) and via-selector (the routing tier — pooled streamed sessions,
 // live-aggregator discovery, rendezvous route hints). The crossing proves
-// the routing tier is behaviour-compatible on every backend: all six
-// cells inherit the full failover/recovery/reconfigure/multitenant matrix.
+// the routing tier is behaviour-compatible on every backend: every cell
+// inherits the full failover/recovery/reconfigure/multitenant matrix.
 func forEachFabric(t *testing.T, run func(t *testing.T, fx fabricFactory)) {
 	modes := []struct {
 		name    string

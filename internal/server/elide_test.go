@@ -4,9 +4,10 @@ package server_test
 // must change only the acknowledgement rhythm, never the outcome. Across
 // every fabric in the conformance matrix (direct and via-selector), a
 // streamed chunked upload must complete identically whether the backend
-// negotiated elision (http-stream, tcp — non-final chunks ride
-// unacknowledged) or degraded to per-chunk acks (the in-memory network).
-// The fabric counters prove which rhythm actually ran.
+// negotiated elision (the cells built with AckElide — non-final chunks ride
+// unacknowledged) or degraded to per-chunk acks (the in-memory network and
+// the HTTP cells built without it). The fabric counters prove which rhythm
+// actually ran.
 
 import (
 	"crypto/rand"

@@ -250,22 +250,34 @@ func testAggregatorFailover(t *testing.T, fx fabricFactory) {
 	owner := resp.(server.MapResponse).Assignments["failover"].Aggregator
 	w.net.Crash(owner)
 
-	// Wait for the coordinator to detect and reassign.
+	// Wait for the coordinator to detect and reassign, and for the new
+	// owner to serve the task: the map names it before its next heartbeat
+	// hands it the assignment, and a task-info routed in that window is
+	// answered "not assigned here".
 	deadline := time.Now().Add(5 * time.Second)
 	var newOwner string
-	for time.Now().Before(deadline) {
+	served := false
+	for time.Now().Before(deadline) && !served {
 		resp, err := w.net.Call("test", "coordinator", "map-request", nil)
 		if err == nil {
 			asg := resp.(server.MapResponse).Assignments["failover"]
 			if asg.Aggregator != owner {
 				newOwner = asg.Aggregator
-				break
+				_, err := w.net.Call("test", selName(0), "route", server.RouteRequest{
+					TaskID: "failover", Method: "task-info", Payload: "failover",
+				})
+				served = err == nil
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
+		if !served {
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 	if newOwner == "" {
 		t.Fatal("task never reassigned after aggregator crash")
+	}
+	if !served {
+		t.Fatalf("new owner %s never served the task after reassignment", newOwner)
 	}
 
 	// The checkpoint must have survived: version resumes at or beyond the

@@ -306,7 +306,16 @@ func TestStreamSoak(t *testing.T) {
 	backends := []fabricFactory{
 		{name: "http-stream", routing: true, make: newHTTP},
 		{name: "tcp", make: newTCP},
-		{name: "tcp-routing", routing: true, make: newTCP},
+		// The historical name of the routing-mode tcp cell; it runs the
+		// option set the benchmark harness passes (deprecated Codec "bin").
+		{name: "tcp-bin-deflate", routing: true, make: func(t *testing.T, seed int64) testFabric {
+			f, err := tcptransport.New(tcptransport.Options{Listen: "127.0.0.1:0", Seed: seed, Codec: "bin"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = f.Close() })
+			return f
+		}},
 	}
 	for _, fx := range backends {
 		fx := fx

@@ -32,77 +32,101 @@ func echoHandler(method string, payload any) (any, error) {
 	return payload, nil
 }
 
-func TestCallRoundTrip(t *testing.T) {
-	f := newFabric(t)
-	f.Register("node-a", echoHandler)
-
-	// Struct payload and struct response.
-	resp, err := f.Call("tester", "node-a", "join", server.JoinRequest{TaskID: "t", ClientID: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, ok := resp.(server.JoinResponse)
-	if !ok {
-		t.Fatalf("response type %T, want server.JoinResponse", resp)
-	}
-	if !jr.Accepted || jr.SessionID != 42 || jr.Version != 7 {
-		t.Fatalf("round trip mangled response: %+v", jr)
-	}
-
-	// String payload (register-aggregator / task-info style).
-	resp, err = f.Call("tester", "node-a", "m", "hello")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp != "echo:m:hello" {
-		t.Fatalf("string round trip = %v", resp)
-	}
-
-	// Nil payload (map-request style).
-	resp, err = f.Call("tester", "node-a", "nilcall", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp != nil {
-		t.Fatalf("nil payload round trip = %v, want nil", resp)
+// forEachCodecConfig runs body once per value a deployment may have set in
+// Options.Codec. "bin" — the one wire's own name — builds a fabric and runs
+// body on it; the retired "gob" and "json" must be refused by New, so a
+// stale configuration fails loudly instead of silently switching wires.
+func forEachCodecConfig(t *testing.T, body func(t *testing.T, f *httptransport.Fabric)) {
+	for _, codec := range []string{"gob", "bin", "json"} {
+		t.Run(codec, func(t *testing.T) {
+			f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Seed: 1, Codec: codec})
+			if codec != "bin" {
+				if err == nil {
+					_ = f.Close()
+					t.Fatalf("retired codec %q accepted", codec)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = f.Close() })
+			body(t, f)
+		})
 	}
 }
 
-// TestNewRejectsRetiredCodecs: bin is the only wire codec, so a stale
-// configuration naming another one fails at construction.
-func TestNewRejectsRetiredCodecs(t *testing.T) {
-	for _, codec := range []string{"gob", "json"} {
-		if f, err := httptransport.New(httptransport.Options{Listen: "127.0.0.1:0", Codec: codec}); err == nil {
-			_ = f.Close()
-			t.Fatalf("codec %q accepted", codec)
+func TestCallRoundTripBothCodecs(t *testing.T) {
+	forEachCodecConfig(t, func(t *testing.T, f *httptransport.Fabric) {
+		f.Register("node-a", echoHandler)
+
+		// Struct payload and struct response.
+		resp, err := f.Call("tester", "node-a", "join", server.JoinRequest{TaskID: "t", ClientID: 42})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		jr, ok := resp.(server.JoinResponse)
+		if !ok {
+			t.Fatalf("response type %T, want server.JoinResponse", resp)
+		}
+		if !jr.Accepted || jr.SessionID != 42 || jr.Version != 7 {
+			t.Fatalf("round trip mangled response: %+v", jr)
+		}
+
+		// String payload (register-aggregator / task-info style).
+		resp, err = f.Call("tester", "node-a", "m", "hello")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp != "echo:m:hello" {
+			t.Fatalf("string round trip = %v", resp)
+		}
+
+		// Nil payload (map-request style).
+		resp, err = f.Call("tester", "node-a", "nilcall", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp != nil {
+			t.Fatalf("nil payload round trip = %v, want nil", resp)
+		}
+
+		// A cold message, which crosses in bin's in-frame gob envelope.
+		resp, err = f.Call("tester", "node-a", "agg-report", server.AggDirective{DropTasks: []string{"a", "b"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, ok := resp.(server.AggDirective); !ok || len(d.DropTasks) != 2 || d.DropTasks[1] != "b" {
+			t.Fatalf("gob-enveloped round trip = %#v", resp)
+		}
+	})
 }
 
 func TestNestedAnyPayloadCrossesWire(t *testing.T) {
 	// RouteRequest carries an interface-typed payload — the hardest message
 	// for a wire format. The inner concrete type must survive.
-	f := newFabric(t)
-	f.Register("sel", func(method string, payload any) (any, error) {
-		rr := payload.(server.RouteRequest)
-		chunk, ok := rr.Payload.(server.UploadChunk)
-		if !ok {
-			t.Errorf("inner payload type %T, want server.UploadChunk", rr.Payload)
-			return nil, errors.New("bad inner type")
+	forEachCodecConfig(t, func(t *testing.T, f *httptransport.Fabric) {
+		f.Register("sel", func(method string, payload any) (any, error) {
+			rr := payload.(server.RouteRequest)
+			chunk, ok := rr.Payload.(server.UploadChunk)
+			if !ok {
+				t.Errorf("inner payload type %T, want server.UploadChunk", rr.Payload)
+				return nil, errors.New("bad inner type")
+			}
+			return server.UploadResponse{OK: chunk.Done, Reason: rr.Method}, nil
+		})
+		resp, err := f.Call("client", "sel", "route", server.RouteRequest{
+			TaskID: "t", Method: "upload-chunk",
+			Payload: server.UploadChunk{TaskID: "t", SessionID: 3, Data: []float32{1, 2}, Done: true},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return server.UploadResponse{OK: chunk.Done, Reason: rr.Method}, nil
+		ur := resp.(server.UploadResponse)
+		if !ur.OK || ur.Reason != "upload-chunk" {
+			t.Fatalf("nested round trip = %+v", ur)
+		}
 	})
-	resp, err := f.Call("client", "sel", "route", server.RouteRequest{
-		TaskID: "t", Method: "upload-chunk",
-		Payload: server.UploadChunk{TaskID: "t", SessionID: 3, Data: []float32{1, 2}, Done: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ur := resp.(server.UploadResponse)
-	if !ur.OK || ur.Reason != "upload-chunk" {
-		t.Fatalf("nested round trip = %+v", ur)
-	}
 }
 
 func TestAppErrorCrossesWire(t *testing.T) {

@@ -87,29 +87,30 @@ func TestStreamOpenFailsFastWhenPeerNeverResponds(t *testing.T) {
 // TestStreamSessionPipelinesCalls drives many calls through one explicit
 // session and checks they all dispatch to the registered handler in order.
 func TestStreamSessionPipelinesCalls(t *testing.T) {
-	f := newStreamFabric(t, httptransport.Options{})
-	var got []string
-	f.Register("echo", func(method string, payload any) (any, error) {
-		got = append(got, method)
-		return payload, nil
-	})
-	sess, err := f.OpenSession("caller", "echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	for i := 0; i < 20; i++ {
-		out, err := sess.Call(fmt.Sprintf("m%d", i), fmt.Sprintf("payload-%d", i))
+	forEachCodecConfig(t, func(t *testing.T, f *httptransport.Fabric) {
+		var got []string
+		f.Register("echo", func(method string, payload any) (any, error) {
+			got = append(got, method)
+			return payload, nil
+		})
+		sess, err := f.OpenSession("caller", "echo")
 		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if out != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("call %d echoed %v", i, out)
+		defer sess.Close()
+		for i := 0; i < 20; i++ {
+			out, err := sess.Call(fmt.Sprintf("m%d", i), fmt.Sprintf("payload-%d", i))
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			if out != fmt.Sprintf("payload-%d", i) {
+				t.Fatalf("call %d echoed %v", i, out)
+			}
 		}
-	}
-	if len(got) != 20 || got[0] != "m0" || got[19] != "m19" {
-		t.Fatalf("handler saw %v", got)
-	}
+		if len(got) != 20 || got[0] != "m0" || got[19] != "m19" {
+			t.Fatalf("handler saw %v", got)
+		}
+	})
 }
 
 // TestStreamCallModeUsesOneConnection: repeated Fabric.Call invocations
@@ -167,9 +168,11 @@ func TestStreamFaultParityMidSession(t *testing.T) {
 	}
 }
 
-// TestSessionTowardUndiscoveredPeer: a peer known only by a static route
-// (no capability document) still gets a working session.
-func TestSessionTowardUndiscoveredPeer(t *testing.T) {
+// TestStreamDegradesToPerCallForV1Peers: a peer known only by a static
+// route (no capability document — what a /v1 peer looked like) still gets
+// a working session. Such peers once got per-call POSTs; with the POST path
+// gone the session streams like any other, and the name is historical.
+func TestStreamDegradesToPerCallForV1Peers(t *testing.T) {
 	server := newStreamFabric(t, httptransport.Options{})
 	server.Register("node", func(method string, payload any) (any, error) { return "ok", nil })
 	caller := newStreamFabric(t, httptransport.Options{})
@@ -345,10 +348,10 @@ func TestAckElideHeldFailureSurfacesOnNextCall(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestAckElideDegradesForUnknownCapsPeer: toward a peer whose capabilities
-// were never fetched, the session must not offer elision and every call
-// keeps its acknowledgement.
-func TestAckElideDegradesForUnknownCapsPeer(t *testing.T) {
+// TestAckElideDegradesForV1Peers: toward a peer whose capabilities were
+// never fetched (as with a /v1 peer, which published none), the session
+// must not offer elision and every call keeps its acknowledgement.
+func TestAckElideDegradesForV1Peers(t *testing.T) {
 	srv := newStreamFabric(t, httptransport.Options{})
 	srv.Register("node", func(method string, payload any) (any, error) {
 		return server.UploadResponse{OK: true}, nil

@@ -7,6 +7,7 @@ package tcptransport
 
 import (
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/transport/streamcore"
@@ -34,22 +36,74 @@ func newTestFabric(t *testing.T, opts Options) *Fabric {
 }
 
 // TestCallRoundTrip drives a registered-message call through the loopback
-// listener.
+// listener once per value a deployment may have set in Options.Codec:
+// "bin", the one wire's own name, round-trips; the retired "gob" and
+// "json" are refused by New, so stale configurations fail loudly.
 func TestCallRoundTrip(t *testing.T) {
-	f := newTestFabric(t, Options{})
-	f.Register("agg", func(method string, payload any) (any, error) {
-		req := payload.(server.JoinRequest)
-		return server.JoinResponse{Accepted: true, SessionID: uint64(req.ClientID) + 1}, nil
-	})
-	out, err := f.Call("client-7", "agg", "join", server.JoinRequest{TaskID: "t", ClientID: 7})
+	for _, codec := range []string{"gob", "bin", "json"} {
+		t.Run(codec, func(t *testing.T) {
+			if codec != "bin" {
+				if f, err := New(Options{Listen: "127.0.0.1:0", Codec: codec}); err == nil {
+					_ = f.Close()
+					t.Fatalf("retired codec %q accepted", codec)
+				}
+				return
+			}
+			f := newTestFabric(t, Options{Codec: codec})
+			f.Register("agg", func(method string, payload any) (any, error) {
+				req := payload.(server.JoinRequest)
+				return server.JoinResponse{Accepted: true, SessionID: uint64(req.ClientID) + 1}, nil
+			})
+			out, err := f.Call("client-7", "agg", "join", server.JoinRequest{TaskID: "t", ClientID: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp := out.(server.JoinResponse); !resp.Accepted || resp.SessionID != 8 {
+				t.Fatalf("response = %+v", resp)
+			}
+		})
+	}
+}
+
+// TestCompressedFrames carries a model-sized chunk packed by the DEFLATE
+// upload codec ("flate") — the compression that survives on the wire now
+// that frames themselves are never deflated — and checks the far side
+// decodes it bit for bit.
+func TestCompressedFrames(t *testing.T) {
+	codec, err := compress.ByName("flate")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := out.(server.JoinResponse); !resp.Accepted || resp.SessionID != 8 {
-		t.Fatalf("response = %+v", resp)
+	delta := make([]float32, 4096)
+	for i := range delta {
+		delta[i] = float32(i%7) * 0.125
 	}
-	if _, err := New(Options{Listen: "127.0.0.1:0", Codec: "gob"}); err == nil {
-		t.Fatal("retired codec gob accepted")
+	packed, err := compress.CompressFloats(codec, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newTestFabric(t, Options{})
+	f.Register("agg", func(method string, payload any) (any, error) {
+		c := payload.(server.UploadChunk)
+		got, err := compress.DecompressFloats(c.Packed)
+		if err != nil {
+			return nil, err
+		}
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(delta[i]) {
+				return server.UploadResponse{Reason: "mismatch"}, nil
+			}
+		}
+		return server.UploadResponse{OK: len(got) == len(delta)}, nil
+	})
+	out, err := f.Call("c", "agg", "upload-chunk", server.UploadChunk{
+		TaskID: "t", SessionID: 3, Packed: packed, Done: true, NumExamples: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ur := out.(server.UploadResponse); !ur.OK {
+		t.Fatalf("packed chunk crossed mangled: %+v", ur)
 	}
 }
 

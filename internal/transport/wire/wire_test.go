@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"crypto/rand"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -197,32 +198,74 @@ func TestEveryRegisteredMessageRoundTrips(t *testing.T) {
 		}
 	}
 
-	bin := wire.Binary{}
-	for name, in := range sam {
-		// Round trip as a request payload.
-		frame, err := bin.AppendRequest(nil, &wire.Request{From: "tester", Method: "m", Payload: in})
-		if err != nil {
-			t.Fatalf("%s: encode request: %v", name, err)
-		}
-		req, err := bin.DecodeRequest(frame)
-		if err != nil {
-			t.Fatalf("%s: decode request: %v", name, err)
-		}
-		if req.From != "tester" || req.Method != "m" {
-			t.Fatalf("%s: envelope fields mangled: %+v", name, req)
-		}
-		checkRoundTrip(t, name, in, req.Payload)
+	forEachFraming(t, func(t *testing.T, enc frameEncoder) {
+		bin := wire.Binary{}
+		for name, in := range sam {
+			// Round trip as a request payload.
+			frame, err := enc.AppendRequest(nil, &wire.Request{From: "tester", Method: "m", Payload: in})
+			if err != nil {
+				t.Fatalf("%s: encode request: %v", name, err)
+			}
+			req, err := bin.DecodeRequest(frame)
+			if err != nil {
+				t.Fatalf("%s: decode request: %v", name, err)
+			}
+			if req.From != "tester" || req.Method != "m" {
+				t.Fatalf("%s: envelope fields mangled: %+v", name, req)
+			}
+			checkRoundTrip(t, name, in, req.Payload)
 
-		// And as a response payload.
-		frame, err = bin.AppendResponse(nil, &wire.Response{Payload: in})
-		if err != nil {
-			t.Fatalf("%s: encode response: %v", name, err)
+			// And as a response payload.
+			frame, err = enc.AppendResponse(nil, &wire.Response{Payload: in})
+			if err != nil {
+				t.Fatalf("%s: encode response: %v", name, err)
+			}
+			resp, err := bin.DecodeResponse(frame)
+			if err != nil {
+				t.Fatalf("%s: decode response: %v", name, err)
+			}
+			checkRoundTrip(t, name, in, resp.Payload)
 		}
-		resp, err := bin.DecodeResponse(frame)
-		if err != nil {
-			t.Fatalf("%s: decode response: %v", name, err)
+	}, func(t *testing.T) {
+		for name, in := range sam {
+			refuseJSONFrame(t, name, in)
 		}
-		checkRoundTrip(t, name, in, resp.Payload)
+	})
+}
+
+// forEachFraming runs the subtests every framing test shares, one per
+// frame encoding a peer may send. "bin" (the hand-rolled forms) and "gob"
+// (bin's in-frame gob envelope, which every message without a hand-rolled
+// form rides) must round-trip through wire.Binary, the one decoder, via
+// roundTrip. "json", the retired JSON frame codec, must be refused by it —
+// a peer still speaking JSON fails loudly instead of being misread — which
+// refuse checks.
+func forEachFraming(t *testing.T, roundTrip func(t *testing.T, enc frameEncoder), refuse func(t *testing.T)) {
+	codecs := benchCodecs()
+	for _, name := range []string{"bin", "gob", "json"} {
+		t.Run(name, func(t *testing.T) {
+			if name == "json" {
+				refuse(t)
+				return
+			}
+			roundTrip(t, codecs[name])
+		})
+	}
+}
+
+// refuseJSONFrame encodes payload as the retired JSON codec framed a
+// request and asserts the bin decoder rejects it.
+func refuseJSONFrame(t *testing.T, name string, payload any) {
+	t.Helper()
+	frame, err := json.Marshal(struct {
+		From, Method, Type string
+		Payload            any
+	}{From: "tester", Method: "m", Type: name, Payload: payload})
+	if err != nil {
+		t.Fatalf("%s: json encode: %v", name, err)
+	}
+	if req, err := (wire.Binary{}).DecodeRequest(frame); err == nil {
+		t.Fatalf("%s: JSON frame decoded as %#v", name, req)
 	}
 }
 
@@ -236,37 +279,44 @@ func TestChunkedUploadCrossesCodec(t *testing.T) {
 	for i := range delta {
 		delta[i] = float32(i) * 0.25
 	}
-	bin := wire.Binary{}
-	got := make([]float32, numParams)
-	received, doneSeen := 0, false
-	for off := 0; off < numParams; off += chunkSize {
-		end := off + chunkSize
-		if end > numParams {
-			end = numParams
+	chunks := func(yield func(server.UploadChunk)) {
+		for off := 0; off < numParams; off += chunkSize {
+			end := off + chunkSize
+			if end > numParams {
+				end = numParams
+			}
+			yield(server.UploadChunk{
+				TaskID: "t", SessionID: 1, Offset: off,
+				Data: delta[off:end], Done: end == numParams, NumExamples: 4,
+			})
 		}
-		in := server.UploadChunk{
-			TaskID: "t", SessionID: 1, Offset: off,
-			Data: delta[off:end], Done: end == numParams, NumExamples: 4,
-		}
-		frame, err := bin.AppendRequest(nil, &wire.Request{From: "c", Method: "upload-chunk", Payload: in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := bin.DecodeRequest(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := req.Payload.(server.UploadChunk)
-		copy(got[c.Offset:], c.Data)
-		received += len(c.Data)
-		doneSeen = doneSeen || c.Done
 	}
-	if received != numParams || !doneSeen {
-		t.Fatalf("reassembly incomplete: %d/%d params, done=%v", received, numParams, doneSeen)
-	}
-	if !reflect.DeepEqual(got, delta) {
-		t.Fatalf("reassembled delta differs:\n in: %v\nout: %v", delta, got)
-	}
+	forEachFraming(t, func(t *testing.T, enc frameEncoder) {
+		got := make([]float32, numParams)
+		received, doneSeen := 0, false
+		chunks(func(in server.UploadChunk) {
+			frame, err := enc.AppendRequest(nil, &wire.Request{From: "c", Method: "upload-chunk", Payload: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := (wire.Binary{}).DecodeRequest(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := req.Payload.(server.UploadChunk)
+			copy(got[c.Offset:], c.Data)
+			received += len(c.Data)
+			doneSeen = doneSeen || c.Done
+		})
+		if received != numParams || !doneSeen {
+			t.Fatalf("reassembly incomplete: %d/%d params, done=%v", received, numParams, doneSeen)
+		}
+		if !reflect.DeepEqual(got, delta) {
+			t.Fatalf("reassembled delta differs:\n in: %v\nout: %v", delta, got)
+		}
+	}, func(t *testing.T) {
+		chunks(func(in server.UploadChunk) { refuseJSONFrame(t, "upload-chunk", in) })
+	})
 }
 
 func TestVersionMismatchRejected(t *testing.T) {
