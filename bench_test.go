@@ -155,7 +155,7 @@ func BenchmarkParallelTrainingWorkers(b *testing.B) {
 // the weighting should never hurt and typically helps.
 func BenchmarkAblationStalenessWeight(b *testing.B) {
 	w := experiments.BuildWorld(experiments.ScaleSmall())
-	run := func(weight fedopt.StalenessWeight) float64 {
+	run := func(rule fedopt.Aggregation) float64 {
 		cfg := core.Config{
 			Algorithm:        core.Async,
 			Concurrency:      80,
@@ -164,21 +164,21 @@ func BenchmarkAblationStalenessWeight(b *testing.B) {
 			EvalSeqs:         w.Eval,
 			EvalEvery:        10,
 			MaxServerUpdates: 200,
-			Staleness:        weight,
+			Aggregation:      rule,
 		}
 		return core.Run(w.Model, w.Corpus, w.Pop, cfg).FinalLoss
 	}
 	b.Run("polynomial", func(b *testing.B) {
 		var loss float64
 		for i := 0; i < b.N; i++ {
-			loss = run(fedopt.DefaultStaleness())
+			loss = run(fedopt.DefaultAggregation())
 		}
 		b.ReportMetric(loss, "final-loss")
 	})
 	b.Run("constant", func(b *testing.B) {
 		var loss float64
 		for i := 0; i < b.N; i++ {
-			loss = run(fedopt.ConstantStaleness())
+			loss = run(fedopt.FedAvg{})
 		}
 		b.ReportMetric(loss, "final-loss")
 	})

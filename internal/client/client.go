@@ -219,10 +219,6 @@ type Runtime struct {
 	MinInterval time.Duration
 	// Random supplies SecAgg randomness (mask seeds, DH keys).
 	Random io.Reader
-	// Staleness mirrors the server's weighting policy for the SecAgg path,
-	// where the client applies its own weight before masking; nil means the
-	// paper's 1/sqrt(1+s).
-	Staleness fedopt.StalenessWeight
 	// Compress lists the upload codecs this client offers at report time;
 	// nil means every codec in the compress registry. Set it to
 	// []string{"none"} to opt out of compression entirely.
@@ -720,14 +716,13 @@ func (r *Runtime) uploadPlainChunks(p *participation, es transport.ElidingSessio
 func (r *Runtime) uploadSecAgg(p *participation, checkin server.CheckinResponse,
 	report server.ReportResponse, delta []float32, numExamples, staleness int,
 	codec compress.Codec, meter *uploadMeter) (*Result, error) {
-	stale := r.Staleness
-	if stale == nil {
-		stale = fedopt.DefaultStaleness()
+	// The device weights by the task's own rule, named in the report, so a
+	// masked upload counts exactly as the plaintext path would weight it.
+	rule, err := fedopt.AggregationByName(report.Aggregation, report.AggParam)
+	if err != nil {
+		return nil, fmt.Errorf("client: SecAgg weighting: %w", err)
 	}
-	w := float64(numExamples) * stale(staleness)
-	if w <= 0 {
-		w = 1
-	}
+	w := rule.Weight(numExamples, staleness)
 	weighted := vecf.Clone(delta)
 	vecf.Scale(weighted, float32(w))
 

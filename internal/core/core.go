@@ -11,8 +11,9 @@
 //   - internal/lmdata supplies each client's local dataset;
 //   - internal/nn performs the client's local SGD (one epoch, B=32) and
 //     evaluates the server model;
-//   - internal/buffer + internal/fedopt aggregate weighted updates and
-//     apply FedAdam server steps.
+//   - internal/buffer aggregates weighted updates, and internal/task (the
+//     release state machine the served aggregator also runs) weights,
+//     releases, and steps them.
 //
 // The Result captures everything the paper's figures report: loss curves
 // against simulated wall-clock, communication trips, server update
@@ -36,18 +37,18 @@ import (
 	"repro/internal/fedopt"
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/task"
 )
 
-// Algorithm selects the aggregation protocol.
-type Algorithm string
+// Algorithm selects the aggregation protocol: the release machine's mode.
+type Algorithm = task.Mode
 
 const (
-	// Async is FedBuff: clients train continuously; the server updates the
-	// model every K received updates, weighting by staleness.
-	Async Algorithm = "async"
-	// Sync is round-based FedAvg-style training with optional over-selection
-	// and PAPAYA-style mid-round replacement of failed clients.
-	Sync Algorithm = "sync"
+	// Async is FedBuff, task.Async.
+	Async = task.Async
+	// Sync is round-based training with optional over-selection and
+	// PAPAYA-style mid-round replacement of failed clients, task.Sync.
+	Sync = task.Sync
 )
 
 // Config parameterizes one training run. Zero-valued optional fields are
@@ -68,21 +69,15 @@ type Config struct {
 	// MaxStaleness aborts Async clients whose staleness exceeds it
 	// (Appendix E.1/E.2). 0 means unlimited.
 	MaxStaleness int
-	// Staleness is the down-weighting policy; nil means 1/sqrt(1+s).
-	Staleness fedopt.StalenessWeight
-	// ExampleWeighting weights each update by the client's example count
-	// (the paper's behaviour). Zero value means enabled; set
-	// DisableExampleWeighting for ablations.
-	DisableExampleWeighting bool
-	// ExampleWeightCap caps the example-count weight (keyboard-prediction
-	// deployments cap per-user influence; Hard et al. 2019). 0 means no cap.
-	ExampleWeightCap float64
+	// Aggregation weights received updates and transforms each release;
+	// nil means fedopt.DefaultAggregation(), the paper's n/sqrt(1+s).
+	Aggregation fedopt.Aggregation
 	// Server is the server optimizer; nil means the paper's FedAdam.
 	Server fedopt.Optimizer
 	// DP, when non-nil, enables the central differential-privacy extension
 	// the paper's conclusion names as future work: client updates are
 	// L2-clipped and every released aggregate is noised; the Result reports
-	// the cumulative (epsilon, delta).
+	// the cumulative (epsilon, delta). EpsilonBudget halts the run.
 	DP *dp.Config
 	// Client configures local SGD; zero value means the paper's
 	// one-epoch/B=32 setup.
@@ -165,8 +160,8 @@ func (c *Config) Validate() error {
 	if c.MaxStaleness < 0 {
 		return fmt.Errorf("core: MaxStaleness must be >= 0")
 	}
-	if c.Staleness == nil {
-		c.Staleness = fedopt.DefaultStaleness()
+	if c.Aggregation == nil {
+		c.Aggregation = fedopt.DefaultAggregation()
 	}
 	if c.Server == nil {
 		c.Server = fedopt.DefaultFedAdam()
@@ -278,6 +273,8 @@ type Result struct {
 	// DPEpsilon and DPDelta report the cumulative privacy guarantee when
 	// the DP extension was enabled (0, 0 otherwise).
 	DPEpsilon, DPDelta float64
+	// BudgetExhausted reports the run halted at DP.EpsilonBudget.
+	BudgetExhausted bool
 }
 
 // FinalParamsHash returns a 64-bit FNV-1a hash over the exact bit patterns

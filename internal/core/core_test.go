@@ -64,7 +64,7 @@ func TestValidateDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Server == nil || cfg.Staleness == nil || cfg.AggShards != 8 ||
+	if cfg.Server == nil || cfg.Aggregation == nil || cfg.AggShards != 8 ||
 		cfg.SelectionDelayMean != 1 || cfg.Client.BatchSize == 0 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
@@ -416,20 +416,6 @@ func TestDropoutsAndTimeoutsObserved(t *testing.T) {
 	rate := float64(res.Dropouts) / total
 	if rate < 0.005 || rate > 0.2 {
 		t.Fatalf("dropout rate %.3f outside [0.005, 0.2]", rate)
-	}
-}
-
-func TestExampleWeightingAblation(t *testing.T) {
-	w := newTestWorld()
-	cfg := asyncCfg()
-	cfg.EvalSeqs = w.eval
-	cfg.MaxServerUpdates = 30
-	weighted := Run(w.model, w.corpus, w.pop, cfg)
-	cfg.DisableExampleWeighting = true
-	unweighted := Run(w.model, w.corpus, w.pop, cfg)
-	// Both must train; the trajectories must differ (weighting matters).
-	if weighted.FinalLoss == unweighted.FinalLoss {
-		t.Fatal("example weighting had no effect on training")
 	}
 }
 

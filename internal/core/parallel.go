@@ -29,7 +29,7 @@ import (
 //     event loop enqueued them (session-finish order), and Release folds
 //     shards in index order on the event loop.
 //
-// The event loop blocks only at serverStep, where it flushes the shard
+// The event loop blocks only at a release, where it flushes the shard
 // queues before releasing the buffer; between releases, training and
 // aggregation proceed concurrently with event processing, which is what
 // converts multi-core hardware into wall-clock speedup. Training is
@@ -153,8 +153,8 @@ func (t *trainEngine) shardOf(s *session) int {
 }
 
 // flush blocks until every add enqueued so far has been applied to the
-// buffer. serverStep calls it immediately before Release; this is the only
-// point where the event loop waits on training.
+// buffer. release calls it immediately before the buffer release; this is
+// the only point where the event loop waits on training.
 func (t *trainEngine) flush() {
 	var wg sync.WaitGroup
 	wg.Add(len(t.shardQ))

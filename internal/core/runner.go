@@ -2,13 +2,13 @@ package core
 
 import (
 	"repro/internal/buffer"
-	"repro/internal/dp"
 	"repro/internal/lmdata"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/population"
 	"repro/internal/rng"
 	"repro/internal/simclock"
+	"repro/internal/task"
 )
 
 // Run executes one federated training run and returns its Result. The model,
@@ -56,21 +56,19 @@ type runner struct {
 	corpus *lmdata.Corpus
 	pop    *population.Population
 
-	eng    *simclock.Engine
-	rnd    *rng.RNG    // selection / timing stream
-	cur    *paramsSnap // current server model snapshot (nil when NoTraining)
-	pool   *nn.Pool
-	buf    *buffer.Buffered
-	train  *trainEngine
-	dpMech *dp.Mechanism
+	eng   *simclock.Engine
+	rnd   *rng.RNG    // selection / timing stream
+	cur   *paramsSnap // current server model snapshot (nil when NoTraining)
+	pool  *nn.Pool
+	buf   *buffer.Buffered
+	train *trainEngine
+	m     *task.Machine // the release state machine the served aggregator also runs
 
-	version       int
-	serverUpdates int
-	commTrips     int64
-	received      int // updates accepted into the buffer since last release
-	discarded     int64
-	dropouts      int64
-	timeouts      int64
+	commTrips int64
+	received  int // updates accepted into the buffer since last release
+	discarded int64
+	dropouts  int64
+	timeouts  int64
 
 	nextSessionID int64
 	inflight      map[int64]*session
@@ -78,7 +76,6 @@ type runner struct {
 
 	// sync state
 	round          int
-	roundReceived  int
 	roundStart     float64
 	roundDurations []float64
 
@@ -98,14 +95,23 @@ func newRunner(model nn.Model, corpus *lmdata.Corpus, pop *population.Population
 		inflight: make(map[int64]*session),
 		res:      &Result{Algorithm: cfg.Algorithm, Goal: cfg.AggregationGoal},
 	}
-	if cfg.DP != nil {
-		r.dpMech = dp.New(*cfg.DP)
+	m, err := task.New(task.Config{
+		Mode:         cfg.Algorithm,
+		Goal:         cfg.AggregationGoal,
+		MaxStaleness: cfg.MaxStaleness,
+		Aggregation:  cfg.Aggregation,
+		Optimizer:    cfg.Server,
+		DP:           cfg.DP,
+	})
+	if err != nil {
+		panic(err) // Validate already rejected every invalid policy
 	}
+	r.m = m
 	if !cfg.NoTraining {
 		r.cur = newSnap(model.InitParams(r.rnd.Split("init")))
 		r.pool = nn.NewPool(model.NumParams())
 		r.buf = buffer.New(model.NumParams(), cfg.AggregationGoal, cfg.AggShards)
-		r.train = newTrainEngine(model, corpus, cfg, r.dpMech, r.buf, r.pool)
+		r.train = newTrainEngine(model, corpus, cfg, m.DP(), r.buf, r.pool)
 	}
 	return r
 }
@@ -131,7 +137,7 @@ func (r *runner) run() *Result {
 		r.eng.Run()
 	}
 
-	r.res.ServerUpdates = r.serverUpdates
+	r.res.ServerUpdates = r.m.Version()
 	r.res.CommTrips = r.commTrips
 	r.res.Discarded = r.discarded
 	r.res.Dropouts = r.dropouts
@@ -150,9 +156,9 @@ func (r *runner) run() *Result {
 	if len(r.res.LossCurve) > 0 {
 		r.res.FinalLoss = r.res.LossCurve[len(r.res.LossCurve)-1].V
 	}
-	if r.dpMech != nil {
-		r.res.DPEpsilon = r.dpMech.Epsilon()
-		r.res.DPDelta = r.dpMech.Delta()
+	if mech := r.m.DP(); mech != nil {
+		r.res.DPEpsilon = mech.Epsilon()
+		r.res.DPDelta = mech.Delta()
 	}
 	return r.res
 }
@@ -180,7 +186,7 @@ func (r *runner) startSession(round int) {
 	s := &session{
 		id:           r.nextSessionID,
 		client:       c,
-		startVersion: r.version,
+		startVersion: r.m.Version(),
 		execTime:     r.pop.ExecTime(c, r.rnd),
 		round:        round,
 	}
@@ -248,8 +254,8 @@ func (r *runner) finishSession(s *session) {
 	r.execTimeSum += s.execTime
 	r.execTimeCount++
 
-	staleness := r.version - s.startVersion
-	if r.cfg.Algorithm == Async && r.cfg.MaxStaleness > 0 && staleness > r.cfg.MaxStaleness {
+	staleness, refusal := r.m.Admit(s.startVersion)
+	if refusal != "" {
 		// Appendix E.1: the server aborts updates beyond max staleness.
 		r.discarded++
 		if s.snap != nil {
@@ -263,17 +269,7 @@ func (r *runner) finishSession(s *session) {
 	r.commTrips++
 	r.recordParticipant(s, staleness)
 
-	if !r.cfg.NoTraining {
-		w := 1.0
-		if !r.cfg.DisableExampleWeighting {
-			w = float64(s.client.NumExamples)
-			if r.cfg.ExampleWeightCap > 0 && w > r.cfg.ExampleWeightCap {
-				w = r.cfg.ExampleWeightCap
-			}
-		}
-		if r.cfg.Algorithm == Async {
-			w *= r.cfg.Staleness(staleness)
-		}
+	if r.train != nil {
 		// The update is accepted: train it on the worker pool (against the
 		// snapshot downloaded at start, with randomness keyed on session
 		// ID) and enqueue the weighted add on the session's shard, where
@@ -283,95 +279,77 @@ func (r *runner) finishSession(s *session) {
 		// buffer's own count lags behind).
 		s.done = make(chan struct{})
 		r.train.submit(s)
-		r.train.submitAdd(s, w)
-		r.received++
-		// Async releases when the goal is met; Sync releases when the round
-		// closes (below).
-		if r.cfg.Algorithm == Async && r.received >= r.cfg.AggregationGoal {
-			r.serverStep()
-		}
-	} else if r.cfg.Algorithm == Async {
-		// Systems-only accounting: a server update every K received.
-		if r.commTrips%int64(r.cfg.AggregationGoal) == 0 {
-			r.version++
-			r.serverUpdates++
-			r.abortStale()
-		}
+		r.train.submitAdd(s, r.m.Weight(s.client.NumExamples, staleness))
 	}
-
-	switch r.cfg.Algorithm {
-	case Async:
-		r.replaceAfterSelection(0)
-	case Sync:
-		r.roundReceived++
-		if r.roundReceived >= r.cfg.AggregationGoal {
+	r.received++
+	if r.m.Ready(r.received) {
+		r.release()
+		if r.cfg.Algorithm == Sync {
 			r.closeRound()
 		}
+	} else if r.m.Exhausted() {
+		r.res.BudgetExhausted = true
+		r.halt()
+		return
 	}
-
+	if r.cfg.Algorithm == Async {
+		r.replaceAfterSelection(0)
+	}
 	r.checkBudgets()
 }
 
-// serverStep flushes the shard queues, releases the aggregation buffer, and
-// applies the server optimizer to a fresh copy-on-write snapshot. This is
-// the only point where the event loop waits on the parallel engine; in-
-// flight clients keep training against the snapshot they downloaded.
-func (r *runner) serverStep() {
-	r.train.flush()
-	update := r.pool.Get()
-	stats := r.buf.ReleaseIntoStats(update)
-	if r.dpMech != nil {
-		// Calibrate to the release's actual weight statistics: staleness
-		// weights make the weighted mean's sensitivity MaxWeight*Clip/W,
-		// not Clip/n.
-		r.dpMech.NoiseRelease(update, dp.Release{
-			N: stats.N, TotalWeight: stats.TotalWeight, MaxWeight: stats.MaxWeight,
-		})
+// release steps a fresh copy-on-write snapshot on the buffered updates
+// (the only point where the event loop waits on the parallel engine) and
+// aborts the sessions the machine names.
+func (r *runner) release() {
+	if r.train != nil {
+		r.train.flush()
+		update := r.pool.Get()
+		stats := r.buf.ReleaseIntoStats(update)
+		next := r.pool.Get()
+		copy(next, r.cur.data)
+		r.m.Step(next, update, stats)
+		r.pool.Put(update)
+		old := r.cur
+		r.cur = newSnap(next)
+		old.release(r.pool)
+	} else {
+		r.m.Step(nil, nil, buffer.ReleaseStats{})
 	}
-	next := r.pool.Get()
-	copy(next, r.cur.data)
-	r.cfg.Server.Step(next, update)
-	r.pool.Put(update)
-	old := r.cur
-	r.cur = newSnap(next)
-	old.release(r.pool)
 	r.received = 0
-	r.version++
-	r.serverUpdates++
-	if r.cfg.Algorithm == Async {
-		r.abortStale()
-	}
-	r.maybeEval()
-}
 
-// abortStale aborts in-flight sessions whose staleness already exceeds the
-// limit (Appendix E.2: "After every server model update, the aggregator
-// aborts clients whose staleness is larger than maximum staleness").
-func (r *runner) abortStale() {
-	if r.cfg.MaxStaleness <= 0 {
-		return
-	}
+	// Async: now-too-stale sessions (Appendix E.2). Sync: the rest of the
+	// cohort, the over-selection discards that bias SyncFL (Section 7.4).
+	aborted := false
 	for id, s := range r.inflight {
-		if r.version-s.startVersion > r.cfg.MaxStaleness {
-			r.eng.Cancel(s.finishEv)
-			delete(r.inflight, id)
-			r.discarded++
-			if s.snap != nil {
-				s.snap.release(r.pool)
-			}
+		if r.m.Aborted(s.startVersion) == "" {
+			continue
+		}
+		r.eng.Cancel(s.finishEv)
+		delete(r.inflight, id)
+		r.discarded++
+		if s.snap != nil {
+			s.snap.release(r.pool)
+		}
+		// A Sync discard is not replaced: the next round selects afresh.
+		if r.cfg.Algorithm == Async {
 			r.replaceAfterSelection(s.round)
 		}
+		aborted = true
 	}
-	r.recordUtilization()
+	if aborted {
+		r.recordUtilization()
+	}
+	r.maybeEval()
 }
 
 // maybeEval evaluates the server model on the held-out set per the
 // configured cadence and applies the target-loss stop condition.
 func (r *runner) maybeEval() {
-	if len(r.cfg.EvalSeqs) == 0 || r.cfg.EvalEvery == 0 {
+	if r.cur == nil || len(r.cfg.EvalSeqs) == 0 || r.cfg.EvalEvery == 0 {
 		return
 	}
-	if r.serverUpdates%r.cfg.EvalEvery != 0 {
+	if r.m.Version()%r.cfg.EvalEvery != 0 {
 		return
 	}
 	loss := r.model.Loss(r.cur.data, r.cfg.EvalSeqs)
@@ -387,7 +365,7 @@ func (r *runner) checkBudgets() {
 	if r.halted {
 		return
 	}
-	if r.cfg.MaxServerUpdates > 0 && r.serverUpdates >= r.cfg.MaxServerUpdates {
+	if r.cfg.MaxServerUpdates > 0 && r.m.Version() >= r.cfg.MaxServerUpdates {
 		r.halt()
 	}
 	if r.cfg.MaxClientUpdates > 0 && r.commTrips >= r.cfg.MaxClientUpdates {
@@ -416,7 +394,6 @@ func (r *runner) startRound() {
 	if r.halted {
 		return
 	}
-	r.roundReceived = 0
 	r.roundStart = r.eng.Now()
 	for i := 0; i < r.cfg.Concurrency; i++ {
 		round := r.round
@@ -425,30 +402,9 @@ func (r *runner) startRound() {
 	}
 }
 
-// closeRound fires when the aggregation goal is met: aggregate, step, abort
-// the still-running cohort remainder (over-selection discards), and launch
-// the next round.
+// closeRound follows a Sync release and launches the next round.
 func (r *runner) closeRound() {
 	r.roundDurations = append(r.roundDurations, r.eng.Now()-r.roundStart)
-
-	// Abort everything still in flight for this round: these are the
-	// over-selection discards that bias SyncFL (Section 7.4).
-	for id, s := range r.inflight {
-		r.eng.Cancel(s.finishEv)
-		delete(r.inflight, id)
-		r.discarded++
-		if s.snap != nil {
-			s.snap.release(r.pool)
-		}
-	}
-	r.recordUtilization()
-
-	if !r.cfg.NoTraining {
-		r.serverStep()
-	} else {
-		r.version++
-		r.serverUpdates++
-	}
 	r.round++
 	r.checkBudgets()
 	if r.halted {

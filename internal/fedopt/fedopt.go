@@ -1,5 +1,5 @@
-// Package fedopt implements the server-side optimizers and staleness
-// weighting used by PAPAYA.
+// Package fedopt implements the server-side optimizers and the
+// aggregation rules (staleness weighting) used by PAPAYA.
 //
 // In both SyncFL and AsyncFL the server treats the (weighted mean) client
 // model delta as a pseudo-gradient and feeds it to a server optimizer
@@ -9,7 +9,8 @@
 // provided as baselines and for ablations.
 //
 // Staleness weighting follows FedBuff (Nguyen et al. 2021, Appendix E.2):
-// an update with staleness s is down-weighted by 1/sqrt(1+s).
+// the default Aggregation rule down-weights an update with staleness s by
+// 1/sqrt(1+s).
 package fedopt
 
 import (
@@ -147,36 +148,5 @@ func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 func checkLen(a, b []float32) {
 	if len(a) != len(b) {
 		panic("fedopt: parameter length mismatch")
-	}
-}
-
-// StalenessWeight is a policy mapping an update's staleness (server versions
-// elapsed since the client downloaded the model) to a down-weighting factor.
-type StalenessWeight func(staleness int) float64
-
-// PolynomialStaleness returns FedBuff's weighting family
-// w(s) = (1+s)^(-a); the paper uses a = 0.5, i.e. 1/sqrt(1+s).
-func PolynomialStaleness(a float64) StalenessWeight {
-	if a < 0 {
-		panic("fedopt: staleness exponent must be >= 0")
-	}
-	return func(s int) float64 {
-		if s < 0 {
-			panic("fedopt: negative staleness")
-		}
-		return math.Pow(1+float64(s), -a)
-	}
-}
-
-// DefaultStaleness is the paper's 1/sqrt(1+s).
-func DefaultStaleness() StalenessWeight { return PolynomialStaleness(0.5) }
-
-// ConstantStaleness ignores staleness entirely (ablation baseline).
-func ConstantStaleness() StalenessWeight {
-	return func(s int) float64 {
-		if s < 0 {
-			panic("fedopt: negative staleness")
-		}
-		return 1
 	}
 }

@@ -25,10 +25,10 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/fedopt"
 	"repro/internal/rng"
+	"repro/internal/task"
 )
 
 // Spec is a scenario file. See docs/DEPLOYMENT.md "Scenario engine" for
@@ -263,11 +263,11 @@ func (s *Spec) Validate() error {
 }
 
 // Algorithm resolves the spec's aggregation mode.
-func (s *Spec) Algorithm() core.Algorithm {
+func (s *Spec) Algorithm() task.Mode {
 	if s.Mode == "sync" {
-		return core.Sync
+		return task.Sync
 	}
-	return core.Async
+	return task.Async
 }
 
 // NumClients is the fleet size across all tiers.

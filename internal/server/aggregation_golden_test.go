@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/task"
 )
 
 // goldenSession drives one raw participation through the selector route,
@@ -200,7 +200,7 @@ func driveGoldenFixture(t *testing.T, w *world, capability string) server.TaskIn
 func goldenTask(name, capability, rule string) server.TaskSpec {
 	return server.TaskSpec{
 		ID:              name,
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       4,
 		Concurrency:     16,
 		AggregationGoal: 2,
@@ -287,7 +287,7 @@ func TestDefaultRuleBitIdenticalToExplicit(t *testing.T) {
 	// Sync: default vs explicit fedavg through one two-client round.
 	syncTask := func(name, cap, rule string) server.TaskSpec {
 		spec := goldenTask(name, cap, rule)
-		spec.Mode = core.Sync
+		spec.Mode = task.Sync
 		return spec
 	}
 	w.createTask(syncTask("task-default-sync", "golden-default-sync", ""))

@@ -10,10 +10,9 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/compress"
-	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/fedopt"
 	"repro/internal/secagg"
+	"repro/internal/task"
 	"repro/internal/transport"
 	"repro/internal/vecf"
 	"repro/internal/vecpool"
@@ -23,8 +22,7 @@ import (
 type sessionState struct {
 	clientID     int64
 	startVersion int
-	aborted      bool   // guarded by the task mutex
-	abortReason  string // guarded by the task mutex
+	abortReason  string // "" while live; guarded by the task mutex
 	// trace is the session's cross-tier trace ID (internal/obs), set
 	// once at join and immutable after — readable without a lock. 0
 	// means untraced.
@@ -138,12 +136,13 @@ type taskState struct {
 	spec TaskSpec
 	seq  uint64
 
-	params  []float32
-	version int
-	opt     fedopt.Optimizer
-	buf     *buffer.Buffered
-	secAgg  *secagg.Aggregator
-	agg     fedopt.Aggregation
+	params []float32
+	buf    *buffer.Buffered
+	secAgg *secagg.Aggregator
+	// m is the task's release state machine, shared with the simulator.
+	// Guarded by mu: the exactly-one-finisher invariant serializes
+	// releases for the non-concurrency-safe DP accountant.
+	m *task.Machine
 	// scratch receives buffer releases (ReleaseInto), so a server step
 	// allocates nothing model-sized. Guarded by mu like params.
 	scratch []float32
@@ -151,21 +150,7 @@ type taskState struct {
 	sessions    map[uint64]*sessionState
 	nextSession uint64
 	updates     int64 // client updates received
-	// roundReceived counts updates in the current sync round.
-	roundReceived int
 
-	// dpMech is the task's central-DP mechanism (nil without a spec DP
-	// block). ClipUpdate is stateless and runs on the sharded accumulate
-	// path outside every lock; the noise and accounting calls run only
-	// inside serverStepLocked under mu — the exactly-one-finisher
-	// invariant is what serializes releases for the non-concurrency-safe
-	// mechanism.
-	dpMech *dp.Mechanism
-	// dpExhausted marks the task complete with status "budget_exhausted":
-	// the goal was met but one more release would exceed the epsilon
-	// budget, so the buffered updates stay unreleased and new joins and
-	// uploads are refused. Guarded by mu.
-	dpExhausted bool
 	// dpEpsilonBits caches the cumulative epsilon as math.Float64bits,
 	// written under mu at each release and read lock-free by the
 	// scrape-time papaya_dp_epsilon gauge.
@@ -255,14 +240,26 @@ func newTaskState(req AssignTaskRequest) (*taskState, error) {
 		}
 		spec.SecAgg = live
 	}
+	m, err := task.New(task.Config{
+		Mode:         spec.Mode,
+		Goal:         spec.AggregationGoal,
+		MaxStaleness: spec.MaxStaleness,
+		Aggregation:  agg,
+		// A fresh optimizer per placement: its moments are soft state,
+		// not preserved across failovers.
+		Optimizer: fedopt.DefaultFedAdam(),
+		DP:        spec.DP,
+		Version:   req.Version,
+	})
+	if err != nil {
+		return nil, err
+	}
 	ts := &taskState{
 		spec:     spec,
 		seq:      req.Seq,
-		opt:      optimizerFor(spec),
 		buf:      buffer.New(spec.NumParams, spec.AggregationGoal, shards),
-		agg:      agg,
+		m:        m,
 		sessions: make(map[uint64]*sessionState),
-		version:  req.Version,
 		scratch:  make([]float32, spec.NumParams),
 	}
 	if req.Checkpoint != nil {
@@ -272,9 +269,6 @@ func newTaskState(req AssignTaskRequest) (*taskState, error) {
 	}
 	if spec.SecAgg != nil {
 		ts.secAgg = spec.SecAgg.NewAggregator()
-	}
-	if spec.DP != nil {
-		ts.dpMech = dp.New(*spec.DP)
 	}
 	return ts, nil
 }
@@ -373,29 +367,27 @@ func (a *Aggregator) handle(method string, payload any) (any, error) {
 // change.
 type ReconfigureRequest struct {
 	TaskID          string
-	Mode            core.Algorithm
+	Mode            task.Mode
 	AggregationGoal int
 	MaxStaleness    int
 }
 
 func (a *Aggregator) reconfigureTask(req ReconfigureRequest) (any, error) {
-	if req.Mode != core.Async && req.Mode != core.Sync {
-		return nil, fmt.Errorf("aggregator %s: unknown mode %q", a.name, req.Mode)
-	}
-	if req.AggregationGoal < 1 {
-		return nil, fmt.Errorf("aggregator %s: aggregation goal must be >= 1", a.name)
-	}
 	ts, err := a.task(req.TaskID)
 	if err != nil {
 		return nil, err
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	if err := ts.m.Reconfigure(req.Mode, req.AggregationGoal, req.MaxStaleness); err != nil {
+		return nil, fmt.Errorf("aggregator %s: %w", a.name, err)
+	}
+	// The spec mirrors the policy: heartbeat reports carry it, and a
+	// recovering coordinator adopts it (Appendix E.4).
 	ts.spec.Mode = req.Mode
 	ts.spec.AggregationGoal = req.AggregationGoal
 	ts.spec.MaxStaleness = req.MaxStaleness
 	ts.buf.SetGoal(req.AggregationGoal)
-	ts.roundReceived = 0
 	return true, nil
 }
 
@@ -412,7 +404,7 @@ func (a *Aggregator) assignTask(req AssignTaskRequest) (any, error) {
 		return nil, fmt.Errorf("aggregator %s: placing task %q: %w", a.name, req.Spec.ID, err)
 	}
 	a.tasks[req.Spec.ID] = ts
-	if ts.dpMech != nil {
+	if ts.m.DP() != nil {
 		// Per-task epsilon gauge, sampled lock-free at scrape time from
 		// the bits cached at each release; re-placement re-registers the
 		// same label tuple, replacing the closure.
@@ -465,11 +457,11 @@ func (a *Aggregator) join(req JoinRequest) (any, error) {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.dpExhausted {
+	if ts.m.Exhausted() {
 		// The task is complete: its privacy budget cannot cover another
 		// release, so new participants would train for nothing.
-		a.obs.span(req.TraceID, "join", req.TaskID, 0, start, "budget_exhausted")
-		return JoinResponse{Accepted: false, Reason: "budget_exhausted"}, nil
+		a.obs.span(req.TraceID, "join", req.TaskID, 0, start, task.BudgetExhausted)
+		return JoinResponse{Accepted: false, Reason: task.BudgetExhausted}, nil
 	}
 	if len(ts.sessions) >= ts.spec.Concurrency {
 		a.obs.span(req.TraceID, "join", req.TaskID, 0, start, "task at max concurrency")
@@ -480,10 +472,10 @@ func (a *Aggregator) join(req JoinRequest) (any, error) {
 	}
 	ts.nextSession++
 	id := ts.nextSession
-	ts.sessions[id] = &sessionState{clientID: req.ClientID, startVersion: ts.version, lastActive: time.Now(), trace: req.TraceID}
+	ts.sessions[id] = &sessionState{clientID: req.ClientID, startVersion: ts.m.Version(), lastActive: time.Now(), trace: req.TraceID}
 	a.obs.sessionsOpened.Inc()
 	a.obs.span(req.TraceID, "join", req.TaskID, id, start, "")
-	return JoinResponse{Accepted: true, SessionID: id, Version: ts.version}, nil
+	return JoinResponse{Accepted: true, SessionID: id, Version: ts.m.Version()}, nil
 }
 
 func (a *Aggregator) download(req DownloadRequest) (any, error) {
@@ -502,7 +494,7 @@ func (a *Aggregator) download(req DownloadRequest) (any, error) {
 	// The client trains against the model version it joined with; if the
 	// model moved between join and download, restart the session at the
 	// current version (equivalent to AFL's version check).
-	s.startVersion = ts.version
+	s.startVersion = ts.m.Version()
 	// The snapshot is leased from the pool: over a networked fabric the
 	// transport returns it once the response frame is encoded
 	// (wire.ResponseBufferLease); the in-memory fabric hands the caller a
@@ -511,7 +503,7 @@ func (a *Aggregator) download(req DownloadRequest) (any, error) {
 	params := vecpool.GetFloats(len(ts.params))
 	copy(params, ts.params)
 	a.obs.span(s.trace, "download", req.TaskID, req.SessionID, start, "")
-	return DownloadResponse{Params: params, Version: ts.version}, nil
+	return DownloadResponse{Params: params, Version: ts.m.Version()}, nil
 }
 
 // report hands the client its upload configuration (participation stage 3),
@@ -529,8 +521,7 @@ func (a *Aggregator) report(req ReportRequest) (any, error) {
 		return ReportResponse{OK: false, Reason: "unknown session"}, nil
 	}
 	s.touch(time.Now())
-	if s.aborted {
-		reason := s.abortReason
+	if reason := s.abortReason; reason != "" {
 		ts.dropSessionLocked(req.SessionID)
 		ts.mu.Unlock()
 		s.close()
@@ -545,7 +536,7 @@ func (a *Aggregator) report(req ReportRequest) (any, error) {
 	resp := ReportResponse{
 		OK:             true,
 		ChunkSize:      chunk,
-		CurrentVersion: ts.version,
+		CurrentVersion: ts.m.Version(),
 		// Upload-compression negotiation: the task's preference against
 		// what this client offered (Section 7's communication lever; an
 		// empty offer from an older client degrades to raw).
@@ -561,6 +552,7 @@ func (a *Aggregator) report(req ReportRequest) (any, error) {
 		}
 	}
 	dep := ts.spec.SecAgg
+	aggName, aggParam := ts.spec.Aggregation, ts.spec.AggParam
 	ts.mu.Unlock()
 	// Codec negotiation outcome: which upload codec chain this session
 	// will actually use ("raw" when the negotiation yielded nothing).
@@ -575,6 +567,7 @@ func (a *Aggregator) report(req ReportRequest) (any, error) {
 		resp.SecAggEnabled = true
 		resp.SecAggBundle = &bundles[0]
 		resp.SecAggTrust = dep.ClientTrust()
+		resp.Aggregation, resp.AggParam = aggName, aggParam
 	}
 	return resp, nil
 }
@@ -633,7 +626,7 @@ func (a *Aggregator) uploadChunk(c UploadChunk) (out any, err error) {
 	if ok {
 		trace = s.trace
 	}
-	if ok && s.aborted {
+	if ok && s.abortReason != "" {
 		reason := s.abortReason
 		ts.dropSessionLocked(c.SessionID)
 		ts.mu.Unlock()
@@ -727,23 +720,12 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 	// raw path. DP tasks then re-clip after dequantize, because int8/int16
 	// quantization error can inflate a client-side-clipped norm past the
 	// bound the noise is calibrated for. ClipUpdate is stateless, so it is
-	// safe on this sharded concurrent path; dpMech itself is immutable
-	// after placement.
-	if pendingGp == nil {
-		if !vecf.AllFinite(pending) {
-			ts.mu.Lock()
-			if cur, live := ts.sessions[c.SessionID]; live && cur == s {
-				ts.dropSessionLocked(c.SessionID)
-				a.obs.sessionsClosed.Inc()
-			}
-			ts.mu.Unlock()
-			release()
-			return UploadResponse{OK: false, Reason: "non-finite update"}, nil
-		}
-		if ts.dpMech != nil {
-			pre := ts.dpMech.ClipUpdate(pending)
-			a.obs.dpClipFraction.Observe(pre / ts.dpMech.Clip())
-		}
+	// safe on this sharded concurrent path, and the machine's mechanism
+	// pointer is fixed at placement.
+	finite := pendingGp != nil || vecf.AllFinite(pending)
+	if mech := ts.m.DP(); mech != nil && finite {
+		pre := mech.ClipUpdate(pending)
+		a.obs.dpClipFraction.Observe(pre / mech.Clip())
 	}
 
 	ts.mu.Lock()
@@ -752,49 +734,41 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		release()
 		return UploadResponse{OK: false, Reason: "unknown session"}, nil
 	}
-	if s.aborted {
-		reason := s.abortReason
+	// reject ends the session with its upload refused. Caller holds ts.mu.
+	reject := func(reason string) (any, error) {
 		ts.dropSessionLocked(c.SessionID)
 		ts.mu.Unlock()
 		release()
 		a.obs.sessionsClosed.Inc()
 		return UploadResponse{OK: false, Reason: reason}, nil
 	}
-	if ts.dpExhausted {
-		// The budget capped out while this client trained; its update can
-		// never be released, so refuse it like an abort.
-		ts.dropSessionLocked(c.SessionID)
-		ts.mu.Unlock()
-		release()
-		a.obs.sessionsClosed.Inc()
-		return UploadResponse{OK: false, Reason: "budget_exhausted"}, nil
+	if s.abortReason != "" {
+		return reject(s.abortReason)
 	}
-	staleness := ts.version - s.startVersion
-	if ts.spec.MaxStaleness > 0 && staleness > ts.spec.MaxStaleness {
-		ts.dropSessionLocked(c.SessionID)
-		ts.mu.Unlock()
-		release()
-		a.obs.sessionsClosed.Inc()
-		return UploadResponse{OK: false, Reason: "staleness exceeded"}, nil
+	if !finite {
+		return reject("non-finite update")
+	}
+	// Refuses a stale upload, and any once the budget ran out.
+	staleness, refusal := ts.m.Admit(s.startVersion)
+	if refusal != "" {
+		return reject(refusal)
+	}
+	if ts.secAgg != nil && received != ts.spec.NumParams+1 {
+		return reject("incomplete masked upload")
+	}
+	if ts.secAgg == nil && received != ts.spec.NumParams {
+		return reject("incomplete upload")
 	}
 
-	// Weight for the plaintext paths (SecAgg clients weight on-device).
-	// The task's aggregation rule owns the whole mapping — example-count
-	// floor and staleness damping both — so sync and async share one call.
-	w := ts.agg.Weight(c.NumExamples, staleness)
+	// Weight for the plaintext paths; SecAgg clients weight on-device by
+	// the same rule, named in their report response.
+	w := ts.m.Weight(c.NumExamples, staleness)
 
 	switch {
-	case ts.spec.SecAgg != nil:
+	case ts.secAgg != nil:
 		// The SecAgg aggregate (host sum + enclave boundary call) is not
 		// concurrency-safe and stays under the task mutex; the boundary
 		// crossing dominates its cost anyway (Section 5).
-		if received != ts.spec.NumParams+1 {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: "incomplete masked upload"}, nil
-		}
 		up := secagg.Upload{
 			Index:      c.SecAggIndex,
 			Masked:     pendingGp,
@@ -802,28 +776,17 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 			EncSeed:    c.SecAggEncSeed,
 		}
 		if err := ts.secAgg.Add(up); err != nil {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: err.Error()}, nil
+			return reject(err.Error())
 		}
 		out, err := a.countAndMaybeStepLocked(ts, c.SessionID)
 		ts.mu.Unlock()
 		release()
 		return out, err
 
-	case ts.spec.Mode == core.Sync:
-		// SyncFL rounds close atomically: the add, the round counter, and
-		// the possible round close (with its over-selection discard,
-		// Appendix E.3) stay consistent under the task mutex.
-		if received != ts.spec.NumParams {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: "incomplete upload"}, nil
-		}
+	case ts.m.Mode() == task.Sync:
+		// SyncFL rounds close atomically: the add, the count, and the
+		// possible round close (with its over-selection discard, Appendix
+		// E.3) stay consistent under the task mutex.
 		ts.buf.Add(pending, w, int(s.clientID))
 		out, err := a.countAndMaybeStepLocked(ts, c.SessionID)
 		ts.mu.Unlock()
@@ -843,13 +806,6 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 		// land one release late with a one-step-stale weight — exactly the
 		// arrival-order tolerance FedBuff is built on (Section 6.3), and
 		// bounded at one step by the staleness check still holding ts.mu.
-		if received != ts.spec.NumParams {
-			ts.dropSessionLocked(c.SessionID)
-			ts.mu.Unlock()
-			release()
-			a.obs.sessionsClosed.Inc()
-			return UploadResponse{OK: false, Reason: "incomplete upload"}, nil
-		}
 		clientID := s.clientID
 		ts.mu.Unlock()
 
@@ -864,58 +820,27 @@ func (a *Aggregator) finishUpload(ts *taskState, c UploadChunk, s *sessionState)
 }
 
 // countAndMaybeStepLocked finishes an accepted upload's bookkeeping and
-// triggers the server step when the aggregation goal is met. Caller holds
-// ts.mu. The goal check reads live state under the lock (buffered count,
-// SecAgg received count, or the sync round counter) rather than a value
-// computed before locking, so concurrent async finishers cannot
-// double-trigger a release — the first one to lock sees the goal and
-// drains the buffer; the rest see the drained count.
+// triggers the server step when the release machine says so. Caller holds
+// ts.mu. The count handed to the machine is read under the lock, so
+// concurrent async finishers cannot double-trigger a release: the first
+// one to lock sees the goal and drains the buffer; the rest see the
+// drained count.
 func (a *Aggregator) countAndMaybeStepLocked(ts *taskState, sessionID uint64) (any, error) {
 	var trace uint64
 	if s := ts.sessions[sessionID]; s != nil {
 		trace = s.trace
 	}
 	ts.updates++
-	ts.roundReceived++
 	ts.dropSessionLocked(sessionID)
 	a.obs.uploads.Inc()
 	a.obs.sessionsClosed.Inc()
 
-	var goalMet bool
+	buffered := ts.buf.Count()
+	if ts.secAgg != nil {
+		buffered = ts.secAgg.Received()
+	}
 	switch {
-	case ts.spec.Mode == core.Sync:
-		goalMet = ts.roundReceived >= ts.spec.AggregationGoal
-	case ts.spec.SecAgg != nil:
-		goalMet = ts.secAgg.Received() >= ts.spec.AggregationGoal
-	default:
-		// Also covers a runtime goal change (Appendix E.3): a buffer
-		// already holding more than the new goal triggers on the next
-		// accepted upload.
-		goalMet = ts.buf.Count() >= ts.spec.AggregationGoal
-	}
-	// A mode switch can leave the round counter satisfied while the buffer
-	// is empty (the updates were released under the previous mode); a
-	// release on an empty buffer is a protocol bug, so skip the step.
-	if goalMet && ts.spec.SecAgg == nil && ts.buf.Count() == 0 {
-		goalMet = false
-	}
-	// Budget enforcement happens BEFORE the release: once one more release
-	// would exceed the epsilon budget, the buffered updates stay
-	// unreleased (releasing them un-noised would silently void the
-	// guarantee) and the task completes with status "budget_exhausted" —
-	// in-flight sessions are aborted with that reason, and join/upload
-	// refuse it from here on.
-	if goalMet && ts.dpMech != nil && !ts.dpMech.CanRelease() {
-		ts.dpExhausted = true
-		for _, s := range ts.sessions {
-			s.aborted = true
-			s.abortReason = "budget_exhausted"
-		}
-		log.Printf("aggregator %s: task %q epsilon budget exhausted after %d release(s) (eps=%.3f, budget=%.3f)",
-			a.name, ts.spec.ID, ts.dpMech.Releases(), ts.dpMech.Epsilon(), ts.dpMech.Budget())
-		goalMet = false
-	}
-	if goalMet {
+	case ts.m.Ready(buffered):
 		stepStart := time.Now()
 		if err := a.serverStepLocked(ts); err != nil {
 			return nil, err
@@ -925,15 +850,21 @@ func (a *Aggregator) countAndMaybeStepLocked(ts *taskState, sessionID uint64) (a
 		// The aggregate span is attributed to the session whose upload
 		// met the goal — the last hop of that session's trace.
 		a.obs.span(trace, "aggregate", ts.spec.ID, sessionID, stepStart, "")
+	case ts.m.Exhausted():
+		// The task completes with status "budget_exhausted": live sessions
+		// abort, and join/upload refuse from here on.
+		ts.abortLocked()
+		mech := ts.m.DP()
+		log.Printf("aggregator %s: task %q epsilon budget exhausted after %d release(s) (eps=%.3f, budget=%.3f)",
+			a.name, ts.spec.ID, mech.Releases(), mech.Epsilon(), mech.Budget())
 	}
 	return UploadResponse{OK: true}, nil
 }
 
-// serverStepLocked releases the buffer (or unmasks the secure aggregate) and
-// applies the server optimizer. Caller holds ts.mu.
+// serverStepLocked releases the buffer (or unmasks the secure aggregate)
+// into the release machine's Step. Caller holds ts.mu.
 func (a *Aggregator) serverStepLocked(ts *taskState) error {
-	var update []float32
-	if ts.spec.SecAgg != nil {
+	if ts.secAgg != nil {
 		group, _, err := ts.secAgg.UnmaskGroup()
 		if err != nil {
 			return fmt.Errorf("aggregator %s: unmask: %w", a.name, err)
@@ -946,53 +877,31 @@ func (a *Aggregator) serverStepLocked(ts *taskState) error {
 		if totalW <= 0 {
 			return fmt.Errorf("aggregator %s: secure aggregate has non-positive total weight", a.name)
 		}
-		update = decoded[:len(decoded)-1]
+		update := decoded[:len(decoded)-1]
 		vecf.Scale(update, 1/totalW)
+		ts.m.Step(ts.params, update, buffer.ReleaseStats{})
 	} else {
 		// ReleaseInto recycles the task's scratch vector, so a server step
 		// allocates nothing model-sized (the optimizer only reads update).
 		stats := ts.buf.ReleaseIntoStats(ts.scratch)
-		update = ts.scratch
-		if ts.dpMech != nil {
-			// Noise the released weighted mean before the rule's Transform
-			// and the optimizer step touch it — both only post-process the
-			// released value, which is DP-safe. Sensitivity is calibrated
-			// from the release's actual weight statistics (staleness
-			// weights make it MaxWeight*Clip/TotalWeight, not Clip/n).
-			// ts.mu serializes this with every other release, satisfying
-			// the mechanism's no-concurrency contract.
-			ts.dpMech.NoiseRelease(update, dp.Release{
-				N:           stats.N,
-				TotalWeight: stats.TotalWeight,
-				MaxWeight:   stats.MaxWeight,
-			})
-			ts.dpEpsilonBits.Store(math.Float64bits(ts.dpMech.Epsilon()))
+		ts.m.Step(ts.params, ts.scratch, stats)
+		if mech := ts.m.DP(); mech != nil {
+			ts.dpEpsilonBits.Store(math.Float64bits(mech.Epsilon()))
 			a.obs.dpReleases.Inc()
 		}
 	}
-	// The rule's server-side transform (e.g. FedProx's 1/(1+mu) damp) sees
-	// the weighted mean exactly as the optimizer would.
-	ts.agg.Transform(update)
-	ts.opt.Step(ts.params, update)
-	ts.version++
-	ts.roundReceived = 0
+	ts.abortLocked()
+	return nil
+}
 
-	// Appendix E.2: abort sessions whose staleness now exceeds the limit.
-	// Appendix E.3: in Sync mode, abort everyone still training (the
-	// over-selection discard).
-	for id, s := range ts.sessions {
-		if ts.spec.Mode == core.Sync {
-			s.aborted = true
-			s.abortReason = "round closed"
-			_ = id
-			continue
-		}
-		if ts.spec.MaxStaleness > 0 && ts.version-s.startVersion > ts.spec.MaxStaleness {
-			s.aborted = true
-			s.abortReason = "staleness exceeded"
+// abortLocked marks every open session the release machine aborts after
+// a step or the budget running out. Caller holds ts.mu.
+func (ts *taskState) abortLocked() {
+	for _, s := range ts.sessions {
+		if reason := ts.m.Aborted(s.startVersion); reason != "" {
+			s.abortReason = reason
 		}
 	}
-	return nil
 }
 
 // TaskInfo is the "task-info" response: a task's observable state (model
@@ -1009,7 +918,7 @@ type TaskInfo struct {
 	Params []float32
 	// Mode is the task's current aggregation mode (Appendix E.3 switches
 	// it at runtime).
-	Mode core.Algorithm
+	Mode task.Mode
 	// DPEnabled reports whether the task runs under central DP; the
 	// remaining DP fields are meaningful only when it is set.
 	DPEnabled bool
@@ -1036,19 +945,19 @@ func (a *Aggregator) taskInfo(taskID string) (any, error) {
 	params := vecpool.GetFloats(len(ts.params))
 	copy(params, ts.params)
 	info := TaskInfo{
-		Version: ts.version,
+		Version: ts.m.Version(),
 		Updates: ts.updates,
 		Active:  len(ts.sessions),
 		Params:  params,
-		Mode:    ts.spec.Mode,
+		Mode:    ts.m.Mode(),
 	}
-	if ts.dpMech != nil {
+	if mech := ts.m.DP(); mech != nil {
 		info.DPEnabled = true
-		info.DPEpsilon = ts.dpMech.Epsilon()
-		info.DPDelta = ts.dpMech.Delta()
-		info.DPReleases = ts.dpMech.Releases()
-		info.DPBudget = ts.dpMech.Budget()
-		info.DPExhausted = ts.dpExhausted
+		info.DPEpsilon = mech.Epsilon()
+		info.DPDelta = mech.Delta()
+		info.DPReleases = mech.Releases()
+		info.DPBudget = mech.Budget()
+		info.DPExhausted = ts.m.Exhausted()
 	}
 	return info, nil
 }
@@ -1156,12 +1065,12 @@ func (a *Aggregator) sendReport() {
 			Seq:           ts.seq,
 			ActiveClients: len(ts.sessions),
 			Demand:        ts.spec.Concurrency - len(ts.sessions),
-			Version:       ts.version,
+			Version:       ts.m.Version(),
 			Updates:       ts.updates,
 		}
-		if acked, ok := a.lastCkptVersion[id]; refresh || !ok || acked != ts.version {
+		if acked, ok := a.lastCkptVersion[id]; refresh || !ok || acked != tr.Version {
 			tr.Checkpoint = vecf.Clone(ts.params)
-			ckptSent[id] = ts.version
+			ckptSent[id] = tr.Version
 		}
 		report.Tasks[id] = tr
 		ts.mu.Unlock()

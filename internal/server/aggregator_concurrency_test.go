@@ -14,8 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/transport"
 )
 
@@ -37,7 +37,7 @@ func TestConcurrentChunkUploads(t *testing.T) {
 	}
 	spec := server.TaskSpec{
 		ID:              "conc",
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       numParams,
 		Concurrency:     clients * 2,
 		AggregationGoal: goal,

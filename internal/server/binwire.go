@@ -23,8 +23,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/secagg"
+	"repro/internal/task"
 	"repro/internal/transport/wire"
 	"repro/internal/vecpool"
 )
@@ -354,7 +354,10 @@ func (r ReportResponse) AppendBinary(dst []byte) []byte {
 	dst = appendFloat64(dst, r.DPLocalNoise)
 	dst = wire.AppendBool(dst, r.SecAggEnabled)
 	if r.SecAggEnabled {
-		blob, err := gobBlob(secAggReportBlob{Bundle: r.SecAggBundle, Trust: r.SecAggTrust})
+		blob, err := gobBlob(secAggReportBlob{
+			Bundle: r.SecAggBundle, Trust: r.SecAggTrust,
+			Aggregation: r.Aggregation, AggParam: r.AggParam,
+		})
 		if err != nil {
 			// SecAgg material that cannot gob-encode is a programming error
 			// (the same material already crosses inside the gob codec);
@@ -366,10 +369,13 @@ func (r ReportResponse) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// secAggReportBlob is the gob-carried SecAgg half of a ReportResponse.
+// secAggReportBlob is the gob-carried SecAgg half of a ReportResponse:
+// the crypto material plus the aggregation rule the device weights by.
 type secAggReportBlob struct {
-	Bundle *secagg.InitialBundle
-	Trust  secagg.ClientTrust
+	Bundle      *secagg.InitialBundle
+	Trust       secagg.ClientTrust
+	Aggregation string
+	AggParam    float64
 }
 
 func decodeReportResponseBinary(b []byte) (any, error) {
@@ -412,6 +418,7 @@ func decodeReportResponseBinary(b []byte) (any, error) {
 			return nil, fmt.Errorf("server: decoding SecAgg report material: %w", err)
 		}
 		r.SecAggBundle, r.SecAggTrust = sec.Bundle, sec.Trust
+		r.Aggregation, r.AggParam = sec.Aggregation, sec.AggParam
 	}
 	return r, done(b)
 }
@@ -691,7 +698,7 @@ func decodeTaskInfoBinary(b []byte) (any, error) {
 	if mode, b, err = wire.ReadString(b); err != nil {
 		return nil, err
 	}
-	r.Mode = core.Algorithm(mode)
+	r.Mode = task.Mode(mode)
 	if r.DPEnabled, b, err = wire.ReadBool(b); err != nil {
 		return nil, err
 	}

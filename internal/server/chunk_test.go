@@ -7,12 +7,12 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/lmdata"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/secagg"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/tee"
 )
 
@@ -52,7 +52,7 @@ func testChunkedUpload(t *testing.T, fx fabricFactory) {
 			model := nn.NewBilinear(16, 4) // 144 params
 			spec := server.TaskSpec{
 				ID:              "chunky",
-				Mode:            core.Async,
+				Mode:            task.Async,
 				NumParams:       model.NumParams(),
 				Concurrency:     4,
 				AggregationGoal: 1,
@@ -135,7 +135,7 @@ func TestChunkOutOfBoundsRejected(t *testing.T) { forEachFabric(t, testChunkOutO
 
 func testChunkOutOfBoundsRejected(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("oob", w.model, core.Async, 2, 1)
+	spec := lmSpec("oob", w.model, task.Async, 2, 1)
 	w.createTask(spec)
 	resp, _ := w.net.Call("test", selName(0), "checkin", server.CheckinRequest{
 		ClientID: 1, Capabilities: []string{"lm"},
@@ -161,7 +161,7 @@ func TestPackedChunkValidatedBeforeDecode(t *testing.T) { forEachFabric(t, testP
 
 func testPackedChunkValidated(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("poob", w.model, core.Async, 2, 1)
+	spec := lmSpec("poob", w.model, task.Async, 2, 1)
 	spec.Compress = "quantized"
 	w.createTask(spec)
 	resp, _ := w.net.Call("test", selName(0), "checkin", server.CheckinRequest{
@@ -207,7 +207,7 @@ func TestIncompleteUploadRejected(t *testing.T) { forEachFabric(t, testIncomplet
 
 func testIncompleteUploadRejected(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("short", w.model, core.Async, 2, 1)
+	spec := lmSpec("short", w.model, task.Async, 2, 1)
 	w.createTask(spec)
 	resp, _ := w.net.Call("test", selName(0), "checkin", server.CheckinRequest{
 		ClientID: 1, Capabilities: []string{"lm"},

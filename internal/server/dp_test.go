@@ -18,11 +18,11 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/obs"
 	"repro/internal/secagg"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/tee"
 	"repro/internal/transport"
 	"repro/internal/vecf"
@@ -79,7 +79,7 @@ func dpTaskInfo(t *testing.T, net *transport.Network, agg, task string) server.T
 func TestDPPlacementValidation(t *testing.T) {
 	net := dpWorld(t, "agg-dpval")
 	base := server.TaskSpec{
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       8,
 		Concurrency:     2,
 		AggregationGoal: 1,
@@ -140,7 +140,7 @@ func TestDPNoisedAggregationEndToEnd(t *testing.T) {
 	mkSpec := func(id string) server.TaskSpec {
 		return server.TaskSpec{
 			ID:              id,
-			Mode:            core.Async,
+			Mode:            task.Async,
 			NumParams:       numParams,
 			Concurrency:     4,
 			AggregationGoal: 2,
@@ -234,7 +234,7 @@ func TestDPBudgetExhaustion(t *testing.T) {
 	cfg.EpsilonBudget = dp.New(cfg).EpsilonAfter(1) + 1e-9
 	spec := server.TaskSpec{
 		ID:              "dpbud",
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       numParams,
 		Concurrency:     8,
 		AggregationGoal: 1,
@@ -343,7 +343,7 @@ func TestDPQuantizedUploadReclipped(t *testing.T) {
 	net := dpWorld(t, "agg-dpq")
 	spec := server.TaskSpec{
 		ID:              "dpq",
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       numParams,
 		Concurrency:     2,
 		AggregationGoal: 10, // never released; this test is about the accumulate path
@@ -390,7 +390,7 @@ func TestNonFiniteUploadRejected(t *testing.T) {
 	net := dpWorld(t, "agg-dpfin")
 	spec := server.TaskSpec{
 		ID:              "dpfin",
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       numParams,
 		Concurrency:     4,
 		AggregationGoal: 10,
@@ -459,7 +459,7 @@ func TestDPConcurrentChunkUploads(t *testing.T) {
 	cfg := dp.Config{Clip: 0.5, NoiseMultiplier: 1, Delta: 1e-6, Seed: 7}
 	spec := server.TaskSpec{
 		ID:              "dpconc",
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       numParams,
 		Concurrency:     clients * 2,
 		AggregationGoal: goal,
@@ -574,7 +574,7 @@ func TestNoDPAggregationBitIdentical(t *testing.T) {
 		}
 		spec := server.TaskSpec{
 			ID:              "nodp",
-			Mode:            core.Async,
+			Mode:            task.Async,
 			NumParams:       numParams,
 			Concurrency:     10,
 			AggregationGoal: 1,

@@ -15,12 +15,12 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/lmdata"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/secagg"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/tee"
 	"repro/internal/transport"
 )
@@ -58,7 +58,7 @@ func testAckElisionDegradation(t *testing.T, fx fabricFactory) {
 			model := nn.NewBilinear(16, 4) // 144 params
 			spec := server.TaskSpec{
 				ID:              "elide",
-				Mode:            core.Async,
+				Mode:            task.Async,
 				NumParams:       model.NumParams(),
 				Concurrency:     4,
 				AggregationGoal: 1,

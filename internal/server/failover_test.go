@@ -27,10 +27,10 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/lmdata"
 	"repro/internal/nn"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/vecpool"
 )
 
@@ -217,7 +217,7 @@ func runFailoverDrill(t *testing.T, fx fabricFactory, drill failoverDrill) {
 		VocabSize: 16, NumDialects: 4, Seed: 3,
 		SeqLenMin: 5, SeqLenMax: 9, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
 	})
-	spec := lmSpec("drill", w.model, core.Async, 8, 2)
+	spec := lmSpec("drill", w.model, task.Async, 8, 2)
 	spec.UploadChunkSize = 37 // 144 params -> 4 chunks: faults land mid-reassembly
 	w.createTask(spec)
 

@@ -7,12 +7,12 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/lmdata"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/secagg"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/tee"
 	"repro/internal/transport"
 	"repro/internal/vecf"
@@ -119,7 +119,7 @@ func (w *world) device(id int64, corpus *lmdata.Corpus, n int) *client.Runtime {
 	}
 }
 
-func lmSpec(id string, model nn.Model, mode core.Algorithm, concurrency, goal int) server.TaskSpec {
+func lmSpec(id string, model nn.Model, mode task.Mode, concurrency, goal int) server.TaskSpec {
 	return server.TaskSpec{
 		ID:              id,
 		Mode:            mode,
@@ -163,7 +163,7 @@ func testEndToEndAsyncTraining(t *testing.T, fx fabricFactory) {
 		VocabSize: 16, NumDialects: 4, Seed: 3,
 		SeqLenMin: 5, SeqLenMax: 9, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
 	})
-	spec := lmSpec("lm-task", w.model, core.Async, 8, 4)
+	spec := lmSpec("lm-task", w.model, task.Async, 8, 4)
 	w.createTask(spec)
 
 	eval := corpus.EvalSet(0, 0.5, 60, "sys-test")
@@ -183,7 +183,7 @@ func TestMaxConcurrencyEnforced(t *testing.T) { forEachFabric(t, testMaxConcurre
 
 func testMaxConcurrencyEnforced(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("tight", w.model, core.Async, 2, 100)
+	spec := lmSpec("tight", w.model, task.Async, 2, 100)
 	w.createTask(spec)
 
 	accepted := 0
@@ -207,7 +207,7 @@ func TestCapabilityGating(t *testing.T) { forEachFabric(t, testCapabilityGating)
 
 func testCapabilityGating(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("caps", w.model, core.Async, 4, 2)
+	spec := lmSpec("caps", w.model, task.Async, 4, 2)
 	spec.Capability = "gpu"
 	w.createTask(spec)
 
@@ -236,7 +236,7 @@ func testAggregatorFailover(t *testing.T, fx fabricFactory) {
 		VocabSize: 16, NumDialects: 4, Seed: 3,
 		SeqLenMin: 5, SeqLenMax: 9, BranchFactor: 3, ZipfS: 1.3, SmoothMass: 0.05,
 	})
-	spec := lmSpec("failover", w.model, core.Async, 6, 3)
+	spec := lmSpec("failover", w.model, task.Async, 6, 3)
 	w.createTask(spec)
 
 	// Train a little, then kill the owning aggregator.
@@ -292,7 +292,7 @@ func TestCoordinatorRecovery(t *testing.T) { forEachFabric(t, testCoordinatorRec
 
 func testCoordinatorRecovery(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("recovery", w.model, core.Async, 4, 2)
+	spec := lmSpec("recovery", w.model, task.Async, 4, 2)
 	w.createTask(spec)
 
 	// Kill the coordinator and bring up a fresh one in recovery mode.
@@ -325,7 +325,7 @@ func TestSyncModeRoundClosesAndAborts(t *testing.T) {
 
 func testSyncModeRoundClosesAndAborts(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("sync-task", w.model, core.Sync, 3, 2)
+	spec := lmSpec("sync-task", w.model, task.Sync, 3, 2)
 	w.createTask(spec)
 
 	// Open three sessions.
@@ -381,7 +381,7 @@ func TestMaxStalenessAbortsUpload(t *testing.T) { forEachFabric(t, testMaxStalen
 
 func testMaxStalenessAbortsUpload(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("stale-task", w.model, core.Async, 10, 1)
+	spec := lmSpec("stale-task", w.model, task.Async, 10, 1)
 	spec.MaxStaleness = 1
 	w.createTask(spec)
 
@@ -472,7 +472,7 @@ func testSecAggMatchesPlaintextAggregation(t *testing.T, fx fabricFactory) {
 
 		spec := server.TaskSpec{
 			ID:              "eq",
-			Mode:            core.Async,
+			Mode:            task.Async,
 			NumParams:       numParams,
 			Concurrency:     10,
 			AggregationGoal: 3,
@@ -544,7 +544,7 @@ func TestSelectorFailover(t *testing.T) { forEachFabric(t, testSelectorFailover)
 
 func testSelectorFailover(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 2)
-	spec := lmSpec("sel-failover", w.model, core.Async, 4, 1)
+	spec := lmSpec("sel-failover", w.model, task.Async, 4, 1)
 	w.createTask(spec)
 
 	corpus := lmdata.NewCorpus(lmdata.Config{
@@ -586,7 +586,7 @@ func TestDuplicateTaskRejected(t *testing.T) { forEachFabric(t, testDuplicateTas
 
 func testDuplicateTaskRejected(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("dup", w.model, core.Async, 2, 1)
+	spec := lmSpec("dup", w.model, task.Async, 2, 1)
 	w.createTask(spec)
 	if _, err := w.net.Call("test", "coordinator", "create-task", spec); err == nil {
 		t.Fatal("duplicate task accepted")

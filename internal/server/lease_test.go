@@ -11,10 +11,10 @@ package server_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/transport"
 	"repro/internal/vecpool"
 )
@@ -34,7 +34,7 @@ func TestInMemoryDownloadBalancesLeases(t *testing.T) {
 	model := nn.NewBilinear(16, 4) // 144 params: off the pool's size classes
 	init := model.InitParams(rng.New(5))
 	spec := server.TaskSpec{
-		ID: "lease", Mode: core.Async, NumParams: model.NumParams(),
+		ID: "lease", Mode: task.Async, NumParams: model.NumParams(),
 		Concurrency: 4, AggregationGoal: 1, Capability: "lm", InitParams: init,
 	}
 	if _, err := net.Call("test", "coordinator", "create-task", spec); err != nil {

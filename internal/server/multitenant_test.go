@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/task"
 )
 
 // Section 6.2: "Achieving high utilization is especially challenging in a
@@ -19,8 +19,8 @@ func TestMultiTenantAssignmentSpreadsClients(t *testing.T) {
 
 func testMultiTenantAssignmentSpreadsClients(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 2, 1)
-	specA := lmSpec("tenant-a", w.model, core.Async, 3, 2)
-	specB := lmSpec("tenant-b", w.model, core.Async, 3, 2)
+	specA := lmSpec("tenant-a", w.model, task.Async, 3, 2)
+	specB := lmSpec("tenant-b", w.model, task.Async, 3, 2)
 	w.createTask(specA)
 	w.createTask(specB)
 
@@ -71,8 +71,8 @@ func TestMultiTenantCapabilityIsolation(t *testing.T) {
 
 func testMultiTenantCapabilityIsolation(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	specLM := lmSpec("lm-tenant", w.model, core.Async, 2, 1)
-	specGPU := lmSpec("gpu-tenant", w.model, core.Async, 2, 1)
+	specLM := lmSpec("lm-tenant", w.model, task.Async, 2, 1)
+	specGPU := lmSpec("gpu-tenant", w.model, task.Async, 2, 1)
 	specGPU.Capability = "gpu"
 	w.createTask(specLM)
 	w.createTask(specGPU)

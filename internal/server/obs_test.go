@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/task"
 )
 
 // obsCounter reads one fully-labeled counter sample from the process
@@ -47,7 +47,7 @@ func testTracePropagation(t *testing.T, fx fabricFactory) {
 		t.Fatal(err)
 	}
 	spec := server.TaskSpec{
-		ID: "traced", Mode: core.Async, NumParams: numParams, Concurrency: 4,
+		ID: "traced", Mode: task.Async, NumParams: numParams, Concurrency: 4,
 		AggregationGoal: 1, Capability: "lm",
 		InitParams: make([]float32, numParams), UploadChunkSize: 16,
 	}
@@ -136,7 +136,7 @@ func TestV1TraceDegradation(t *testing.T) {
 
 	// An untraced check-in through a live control plane: accepted, echo 0.
 	w := newWorldOn(t, fabricFactories[0], server.TaskSpec{
-		ID: "untraced", Mode: core.Async, NumParams: 16, Concurrency: 2,
+		ID: "untraced", Mode: task.Async, NumParams: 16, Concurrency: 2,
 		AggregationGoal: 4, Capability: "lm",
 		InitParams: make([]float32, 16), UploadChunkSize: 16,
 	})
@@ -206,7 +206,7 @@ func TestReapCountedDistinctFromCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := server.TaskSpec{
-		ID: "reap-count", Mode: core.Async, NumParams: numParams, Concurrency: 2,
+		ID: "reap-count", Mode: task.Async, NumParams: numParams, Concurrency: 2,
 		AggregationGoal: 100, Capability: "lm",
 		InitParams: make([]float32, numParams), UploadChunkSize: 16,
 	}

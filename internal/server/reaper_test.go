@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/secagg"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/tee"
 	"repro/internal/vecpool"
 )
@@ -103,7 +103,7 @@ func reaperSpec(id string, useSecAgg bool, t *testing.T) server.TaskSpec {
 	const numParams = 144
 	spec := server.TaskSpec{
 		ID:              id,
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       numParams,
 		Concurrency:     1,
 		AggregationGoal: 4,

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/task"
 )
 
 // uploadOne opens a session and uploads a trivial update, returning the
@@ -52,7 +52,7 @@ func TestRuntimeModeSwitch(t *testing.T) { forEachFabric(t, testRuntimeModeSwitc
 
 func testRuntimeModeSwitch(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	spec := lmSpec("switch", w.model, core.Sync, 4, 2)
+	spec := lmSpec("switch", w.model, task.Sync, 4, 2)
 	w.createTask(spec)
 
 	// Sync round: two uploads close a round (goal 2).
@@ -67,7 +67,7 @@ func testRuntimeModeSwitch(t *testing.T, fx fabricFactory) {
 
 	// Switch to AsyncFL with K=3 — a configuration change only.
 	if _, err := w.net.Call("test", agName(0), "reconfigure-task", server.ReconfigureRequest{
-		TaskID: "switch", Mode: core.Async, AggregationGoal: 3,
+		TaskID: "switch", Mode: task.Async, AggregationGoal: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func testRuntimeModeSwitch(t *testing.T, fx fabricFactory) {
 
 	// And back to Sync with goal 2.
 	if _, err := w.net.Call("test", agName(0), "reconfigure-task", server.ReconfigureRequest{
-		TaskID: "switch", Mode: core.Sync, AggregationGoal: 2,
+		TaskID: "switch", Mode: task.Sync, AggregationGoal: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +109,19 @@ func TestReconfigureValidation(t *testing.T) { forEachFabric(t, testReconfigureV
 
 func testReconfigureValidation(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	w.createTask(lmSpec("rv", w.model, core.Sync, 4, 2))
+	w.createTask(lmSpec("rv", w.model, task.Sync, 4, 2))
 	if _, err := w.net.Call("test", agName(0), "reconfigure-task", server.ReconfigureRequest{
 		TaskID: "rv", Mode: "bogus", AggregationGoal: 1,
 	}); err == nil {
 		t.Fatal("bogus mode accepted")
 	}
 	if _, err := w.net.Call("test", agName(0), "reconfigure-task", server.ReconfigureRequest{
-		TaskID: "rv", Mode: core.Async, AggregationGoal: 0,
+		TaskID: "rv", Mode: task.Async, AggregationGoal: 0,
 	}); err == nil {
 		t.Fatal("zero goal accepted")
 	}
 	if _, err := w.net.Call("test", agName(0), "reconfigure-task", server.ReconfigureRequest{
-		TaskID: "ghost", Mode: core.Async, AggregationGoal: 1,
+		TaskID: "ghost", Mode: task.Async, AggregationGoal: 1,
 	}); err == nil {
 		t.Fatal("unknown task accepted")
 	}
@@ -133,7 +133,7 @@ func TestSwitchWithOverfullBuffer(t *testing.T) { forEachFabric(t, testSwitchWit
 
 func testSwitchWithOverfullBuffer(t *testing.T, fx fabricFactory) {
 	w := newWorld(t, fx, 1, 1)
-	w.createTask(lmSpec("overfull", w.model, core.Async, 8, 5))
+	w.createTask(lmSpec("overfull", w.model, task.Async, 8, 5))
 	for i := int64(0); i < 3; i++ {
 		if ur := uploadOne(t, w, "overfull", i); !ur.OK {
 			t.Fatalf("upload %d rejected: %s", i, ur.Reason)
@@ -141,7 +141,7 @@ func testSwitchWithOverfullBuffer(t *testing.T, fx fabricFactory) {
 	}
 	// 3 buffered; switch the goal down to 2 (already exceeded).
 	if _, err := w.net.Call("test", agName(0), "reconfigure-task", server.ReconfigureRequest{
-		TaskID: "overfull", Mode: core.Async, AggregationGoal: 2,
+		TaskID: "overfull", Mode: task.Async, AggregationGoal: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,9 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/transport"
 	"repro/internal/transport/httptransport"
 	"repro/internal/transport/tcptransport"
@@ -89,7 +89,7 @@ func runSoak(t *testing.T, fx fabricFactory, stream, checkLeases bool) []float32
 	}
 	spec := server.TaskSpec{
 		ID:              "soak",
-		Mode:            core.Async,
+		Mode:            task.Async,
 		NumParams:       soakParams,
 		Concurrency:     soakSessions + soakCrashed + soakAbandoned + soakWorkers,
 		AggregationGoal: soakSessions, // exactly one server step, at the end
@@ -384,7 +384,7 @@ func TestElidedBeatsPerChunkAck(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := server.TaskSpec{
-			ID: "bench", Mode: core.Async, NumParams: benchParams,
+			ID: "bench", Mode: task.Async, NumParams: benchParams,
 			Concurrency: benchClients * 2, AggregationGoal: 8, Capability: "lm",
 			InitParams: make([]float32, benchParams), UploadChunkSize: 4096,
 		}

@@ -14,10 +14,9 @@ package server
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dp"
-	"repro/internal/fedopt"
 	"repro/internal/secagg"
+	"repro/internal/task"
 )
 
 // TaskSpec describes one FL task. A task lives on exactly one Aggregator at
@@ -27,7 +26,7 @@ type TaskSpec struct {
 	ID string
 	// Mode selects buffered-asynchronous or synchronous-round aggregation.
 	// Switching between them is a configuration change (Appendix E.3).
-	Mode core.Algorithm
+	Mode task.Mode
 	// NumParams is the model size.
 	NumParams int
 	// Concurrency is the max clients training simultaneously (E.1).
@@ -79,11 +78,6 @@ type TaskSpec struct {
 	// spec-carried seed is visible to every client (see dp.Config.Seed).
 	DP *dp.Config
 }
-
-// optimizerFor builds the server optimizer for a task. Each placement gets a
-// fresh optimizer seeded from the checkpoint; moments are not preserved
-// across failovers (they are soft state).
-func optimizerFor(TaskSpec) fedopt.Optimizer { return fedopt.DefaultFedAdam() }
 
 // Assignment maps a task to its owning aggregator. Seq increases every time
 // the Coordinator moves the task; Aggregators and Selectors discard
@@ -176,6 +170,11 @@ type ReportResponse struct {
 	// DPLocalNoise, when positive, is the per-coordinate Gaussian stddev
 	// the client adds to its clipped delta before upload (local DP).
 	DPLocalNoise float64
+	// Aggregation and AggParam name the task's rule when SecAggEnabled is
+	// set: the client weights on-device by it before masking. On the bin
+	// wire they ride in the gob-carried SecAgg material.
+	Aggregation string
+	AggParam    float64
 }
 
 // UploadChunk carries one chunk of a (possibly masked) model update.

@@ -7,10 +7,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/secagg"
 	"repro/internal/server"
+	"repro/internal/task"
 	"repro/internal/tee"
 	"repro/internal/transport/wire"
 )
@@ -53,7 +53,7 @@ func newSecaggWorld(t *testing.T) *secaggWorld {
 func samples(t *testing.T, w *secaggWorld) map[string]any {
 	t.Helper()
 	spec := server.TaskSpec{
-		ID: "wt", Mode: core.Async, NumParams: 4, Concurrency: 8,
+		ID: "wt", Mode: task.Async, NumParams: 4, Concurrency: 8,
 		AggregationGoal: 2, MaxStaleness: 3, Capability: "lm",
 		InitParams: []float32{1, 2, 3, 4}, AggShards: 2, UploadChunkSize: 2,
 		DP: &dp.Config{Clip: 1, NoiseMultiplier: 2, Delta: 1e-6, EpsilonBudget: 5},
@@ -94,7 +94,7 @@ func samples(t *testing.T, w *secaggWorld) map[string]any {
 			Agents: []string{"agg-0", "agg-1"},
 		},
 		"papaya/v1/server.ReconfigureRequest": server.ReconfigureRequest{
-			TaskID: "wt", Mode: core.Sync, AggregationGoal: 3, MaxStaleness: 1,
+			TaskID: "wt", Mode: task.Sync, AggregationGoal: 3, MaxStaleness: 1,
 		},
 		"papaya/v1/server.CheckinRequest": server.CheckinRequest{ClientID: 5, Capabilities: []string{"lm"}},
 		"papaya/v1/server.CheckinResponse": server.CheckinResponse{
@@ -114,6 +114,7 @@ func samples(t *testing.T, w *secaggWorld) map[string]any {
 			OK: true, ChunkSize: 2, CurrentVersion: 9,
 			DPClip: 1.5, DPLocalNoise: 0.75,
 			SecAggEnabled: true, SecAggBundle: &w.bundle, SecAggTrust: w.trust,
+			Aggregation: "fedbuff", AggParam: 1,
 		},
 		// The masked-share payload: a SecAgg upload chunk carrying the
 		// one-time-padded vector and the sealed-seed envelope.
