@@ -5,10 +5,12 @@ package server
 // message types, so it owns their hand-rolled encoding too: fixed field
 // order, varint integers, length-prefixed strings, bulk little-endian
 // vector copies — no reflection anywhere. Cold control-plane messages
-// (task specs, heartbeat reports) intentionally have no binary form; they
-// ride wire.Binary's in-frame gob fallback, which keeps the hand-rolled
-// surface exactly the per-session hot path: check-in, join, download,
-// report, chunked upload, and the selector route envelope around them.
+// (task specs, heartbeat reports, placement and map refreshes)
+// intentionally have no binary form; they ride wire.Binary's in-frame gob
+// fallback, which keeps the hand-rolled surface exactly what a device
+// check-in or session sends: check-in, join, download, report, chunked
+// upload, the selector route envelope around them, and the
+// selector->coordinator assign-client hop every check-in makes.
 //
 // Decoders lease model-sized vectors (UploadChunk.Data/Masked) from
 // internal/vecpool; the transport returns them after the handler has
@@ -57,6 +59,8 @@ const (
 	binIDFailRequest      = 26
 	binIDRouteRequest     = 27
 	binIDTaskInfo         = 28
+	binIDAssignClientReq  = 29
+	binIDAssignClientResp = 30
 )
 
 func init() {
@@ -73,6 +77,8 @@ func init() {
 	wire.RegisterBinary(binIDFailRequest, decodeFailRequestBinary)
 	wire.RegisterBinary(binIDRouteRequest, decodeRouteRequestBinary)
 	wire.RegisterBinary(binIDTaskInfo, decodeTaskInfoBinary)
+	wire.RegisterBinary(binIDAssignClientReq, decodeAssignClientRequestBinary)
+	wire.RegisterBinary(binIDAssignClientResp, decodeAssignClientResponseBinary)
 }
 
 // errTrailing rejects frames with bytes left over after a complete
@@ -732,4 +738,59 @@ func (r TaskInfo) SnapshotResponseBuffers() any {
 	out.Params = make([]float32, len(r.Params))
 	copy(out.Params, r.Params)
 	return out
+}
+
+// --- AssignClientRequest ---
+
+// BinaryID implements wire.BinaryMessage.
+func (AssignClientRequest) BinaryID() byte { return binIDAssignClientReq }
+
+// AppendBinary implements wire.BinaryMessage: the selector->coordinator
+// hop of every check-in, accepted or not.
+func (r AssignClientRequest) AppendBinary(dst []byte) []byte {
+	dst = wire.AppendVarint(dst, r.ClientID)
+	return wire.AppendStringSlice(dst, r.Capabilities)
+}
+
+func decodeAssignClientRequestBinary(b []byte) (any, error) {
+	var r AssignClientRequest
+	var err error
+	if r.ClientID, b, err = wire.ReadVarint(b); err != nil {
+		return nil, err
+	}
+	if r.Capabilities, b, err = wire.ReadStringSlice(b); err != nil {
+		return nil, err
+	}
+	return r, done(b)
+}
+
+// --- AssignClientResponse ---
+
+// BinaryID implements wire.BinaryMessage.
+func (AssignClientResponse) BinaryID() byte { return binIDAssignClientResp }
+
+// AppendBinary implements wire.BinaryMessage.
+func (r AssignClientResponse) AppendBinary(dst []byte) []byte {
+	dst = wire.AppendBool(dst, r.Assigned)
+	dst = wire.AppendString(dst, r.TaskID)
+	dst = wire.AppendString(dst, r.Aggregator)
+	return wire.AppendUvarint(dst, r.Seq)
+}
+
+func decodeAssignClientResponseBinary(b []byte) (any, error) {
+	var r AssignClientResponse
+	var err error
+	if r.Assigned, b, err = wire.ReadBool(b); err != nil {
+		return nil, err
+	}
+	if r.TaskID, b, err = wire.ReadString(b); err != nil {
+		return nil, err
+	}
+	if r.Aggregator, b, err = wire.ReadString(b); err != nil {
+		return nil, err
+	}
+	if r.Seq, b, err = wire.ReadUvarint(b); err != nil {
+		return nil, err
+	}
+	return r, done(b)
 }

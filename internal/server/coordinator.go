@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -33,6 +34,7 @@ type Coordinator struct {
 
 	mu          sync.Mutex
 	specs       map[string]TaskSpec
+	taskIDs     []string // keys of specs, sorted: the draw order of assignClient
 	assignments map[string]Assignment
 	demand      map[string]int // pooled, from aggregator reports
 	pending     map[string]int // assigned but not yet confirmed (Section 6.2)
@@ -126,7 +128,7 @@ func (c *Coordinator) createTask(spec TaskSpec) (any, error) {
 		c.mu.Unlock()
 		return nil, ErrNoLiveAggregators
 	}
-	c.specs[spec.ID] = spec
+	c.addSpecLocked(spec.ID, spec)
 	asg := Assignment{TaskID: spec.ID, Aggregator: target, Seq: 1}
 	c.assignments[spec.ID] = asg
 	c.demand[spec.ID] = spec.Concurrency
@@ -188,7 +190,7 @@ func (c *Coordinator) aggReport(r AggReport) (any, error) {
 			// Recovery: adopt the aggregator's view, including the spec, so
 			// client assignment resumes without operator intervention.
 			c.assignments[taskID] = Assignment{TaskID: taskID, Aggregator: r.Aggregator, Seq: tr.Seq}
-			c.specs[taskID] = tr.Spec
+			c.addSpecLocked(taskID, tr.Spec)
 			c.demand[taskID] = tr.Demand
 		case !known:
 			// Unknown task outside recovery: stale leftover; drop it.
@@ -213,32 +215,58 @@ func (c *Coordinator) aggReport(r AggReport) (any, error) {
 	return AggDirective{DropTasks: drops}, nil
 }
 
-// assignClient implements Section 6.2's three steps: build the eligible task
-// list (capability match and positive demand), pick one at random, and
-// account for the not-yet-confirmed assignment.
+// addSpecLocked records a task spec, keeping taskIDs sorted. Specs are
+// never deleted, so the slice only grows.
+func (c *Coordinator) addSpecLocked(id string, spec TaskSpec) {
+	if _, known := c.specs[id]; !known {
+		i, _ := slices.BinarySearch(c.taskIDs, id)
+		c.taskIDs = slices.Insert(c.taskIDs, i, id)
+	}
+	c.specs[id] = spec
+}
+
+// eligibleLocked reports whether a device with caps may take task id: it
+// has the task's capability and the task has unclaimed demand.
+func (c *Coordinator) eligibleLocked(id string, caps []string) bool {
+	if need := c.specs[id].Capability; need != "" && !slices.Contains(caps, need) {
+		return false
+	}
+	return c.demand[id]-c.pending[id] > 0
+}
+
+// assignClient implements Section 6.2's three steps: find the eligible
+// tasks (capability match and positive demand), pick one uniformly at
+// random, and account for the not-yet-confirmed assignment. The scan runs
+// over the sorted task IDs, so one seed and one check-in sequence draw the
+// same tasks whatever order the tasks were created in; it counts the
+// eligible tasks, draws an index, and walks to it, building nothing.
 func (c *Coordinator) assignClient(req AssignClientRequest) (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.recovering && time.Since(c.started) <= c.timings.RecoveryPeriod {
 		return AssignClientResponse{}, nil // no assignments during recovery
 	}
-	caps := make(map[string]bool, len(req.Capabilities))
-	for _, cp := range req.Capabilities {
-		caps[cp] = true
-	}
-	var eligible []string
-	for id, spec := range c.specs {
-		if spec.Capability != "" && !caps[spec.Capability] {
-			continue
-		}
-		if c.demand[id]-c.pending[id] > 0 {
-			eligible = append(eligible, id)
+	n := 0
+	for _, id := range c.taskIDs {
+		if c.eligibleLocked(id, req.Capabilities) {
+			n++
 		}
 	}
-	if len(eligible) == 0 {
+	if n == 0 {
 		return AssignClientResponse{}, nil
 	}
-	taskID := eligible[c.rnd.Intn(len(eligible))]
+	k := c.rnd.Intn(n)
+	var taskID string
+	for _, id := range c.taskIDs {
+		if !c.eligibleLocked(id, req.Capabilities) {
+			continue
+		}
+		if k == 0 {
+			taskID = id
+			break
+		}
+		k--
+	}
 	c.pending[taskID]++
 	asg := c.assignments[taskID]
 	return AssignClientResponse{

@@ -56,6 +56,7 @@ type httpConn struct {
 	body    io.Closer
 	br      *bufio.Reader
 	scratch []byte
+	wv      streamcore.Writev
 }
 
 func (h *httpConn) ReadFrame(max int) (byte, []byte, error) {
@@ -65,7 +66,7 @@ func (h *httpConn) ReadFrame(max int) (byte, []byte, error) {
 }
 
 func (h *httpConn) WriteFrames(bufs net.Buffers) (int64, error) {
-	n, err := bufs.WriteTo(h.w)
+	n, err := h.wv.Write(h.w, bufs)
 	if err != nil {
 		return n, err
 	}
@@ -99,7 +100,7 @@ func (f *Fabric) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_ = rc.Flush() // release the client's Do() before the first frame
 
-	conn := &httpConn{w: w, rc: rc, body: r.Body, br: bufio.NewReaderSize(r.Body, 32<<10)}
+	conn := &httpConn{w: w, rc: rc, body: r.Body, br: streamcore.GetReader(r.Body), scratch: streamcore.GetFrame()}
 	streamcore.Serve(conn, streamcore.ServeConfig{
 		MaxFrame: maxFrameBytes,
 		Prefix:   "httptransport",
@@ -108,6 +109,10 @@ func (f *Fabric) handleStream(w http.ResponseWriter, r *http.Request) {
 			return f.Invoke(node, req, "httptransport")
 		},
 	})
+	// Serve dispatches synchronously and decoders copy out of the frame,
+	// so the session's read buffers are free for the next stream.
+	streamcore.PutReader(conn.br)
+	streamcore.PutFrame(conn.scratch)
 }
 
 // --- client side ---
@@ -125,6 +130,7 @@ type pipeConn struct {
 	cancel context.CancelFunc
 
 	scratch []byte
+	wv      streamcore.Writev
 
 	tmu   sync.Mutex
 	timer *time.Timer
@@ -137,7 +143,7 @@ func (p *pipeConn) ReadFrame(max int) (byte, []byte, error) {
 }
 
 func (p *pipeConn) WriteFrames(bufs net.Buffers) (int64, error) {
-	return bufs.WriteTo(p.pw)
+	return p.wv.Write(p.pw, bufs)
 }
 
 func (p *pipeConn) SetDeadline(t time.Time) error {

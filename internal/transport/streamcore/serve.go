@@ -42,10 +42,20 @@ type ServeConfig struct {
 // framing.
 //
 // Serve returns when the peer closes its end (the session's natural close
-// signal) or the connection breaks; the caller owns conn cleanup.
+// signal) or the connection breaks; the caller owns conn cleanup. Its
+// encode buffer comes from the frame pool and goes back to it on return:
+// on the TCP fabric a fresh device is a fresh session, so a buffer grown
+// per session would be garbage per check-in.
 func Serve(conn Conn, cfg ServeConfig) {
-	var out []byte
+	out := GetFrame()
 	var held []byte // encoded response to the first failed no-ack call
+	slot := make(net.Buffers, 1)
+	defer func() { PutFrame(out) }()
+	write := func(frame []byte) error {
+		slot[0] = frame
+		_, err := conn.WriteFrames(slot)
+		return err
+	}
 	for {
 		flags, payload, err := conn.ReadFrame(cfg.MaxFrame)
 		if err != nil {
@@ -56,7 +66,7 @@ func Serve(conn Conn, cfg ServeConfig) {
 			if noAck {
 				continue // session already failing: drain elided frames
 			}
-			if _, err := conn.WriteFrames(net.Buffers{held}); err != nil {
+			if err := write(held); err != nil {
 				return
 			}
 			held = nil
@@ -82,7 +92,7 @@ func Serve(conn Conn, cfg ServeConfig) {
 			held = append([]byte(nil), out...)
 			continue
 		}
-		if _, err := conn.WriteFrames(net.Buffers{out}); err != nil {
+		if err := write(out); err != nil {
 			return
 		}
 	}

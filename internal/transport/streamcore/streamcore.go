@@ -31,6 +31,7 @@ package streamcore
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,8 @@ type Conn interface {
 	// stream.
 	ReadFrame(max int) (flags byte, payload []byte, err error)
 	// WriteFrames writes the buffers as one coalesced write (a writev
-	// where the backend supports it), returning the bytes written.
+	// where the backend supports it), returning the bytes written. It
+	// must not allocate (see Writev) and leaves bufs' entries nil.
 	WriteFrames(bufs net.Buffers) (int64, error)
 	// SetDeadline bounds all pending and future I/O; the zero time clears
 	// it. Backends without native deadlines emulate with a reusable timer
@@ -97,15 +99,54 @@ type NetConn struct {
 	c       net.Conn
 	br      *bufio.Reader
 	scratch []byte
+	wv      Writev
 }
 
-// NewNetConn wraps c with a 32 KiB read buffer.
+// readerPool recycles stream read buffers: a fresh device opens a fresh
+// connection, and its 32 KiB reader would otherwise die with it.
+var readerPool sync.Pool
+
+// GetReader returns a 32 KiB buffered reader over r, reused from an
+// earlier PutReader when one is pooled.
+func GetReader(r io.Reader) *bufio.Reader {
+	br, _ := readerPool.Get().(*bufio.Reader)
+	if br == nil {
+		return bufio.NewReaderSize(r, 32<<10)
+	}
+	br.Reset(r)
+	return br
+}
+
+// PutReader returns a reader from GetReader to the pool; the caller must
+// not read from it again.
+func PutReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
+}
+
+// NewNetConn wraps c with a pooled 32 KiB read buffer.
 func NewNetConn(c net.Conn) *NetConn {
-	return &NetConn{c: c, br: bufio.NewReaderSize(c, 32<<10)}
+	return &NetConn{c: c, br: GetReader(c)}
+}
+
+// Release returns the conn's read buffer and frame scratch to their pools.
+// Call it only once nothing can read from n again — after Serve returned,
+// which invokes handlers synchronously, and every decoder copies what it
+// keeps out of the frame — and do not use n afterwards except to Close.
+func (n *NetConn) Release() {
+	PutReader(n.br)
+	n.br = nil
+	if n.scratch != nil {
+		PutFrame(n.scratch)
+		n.scratch = nil
+	}
 }
 
 // ReadFrame implements Conn.
 func (n *NetConn) ReadFrame(max int) (byte, []byte, error) {
+	if n.scratch == nil {
+		n.scratch = GetFrame()
+	}
 	flags, payload, scratch, err := wire.ReadStreamFrameFrom(n.br, n.scratch, max)
 	n.scratch = scratch
 	return flags, payload, err
@@ -114,7 +155,24 @@ func (n *NetConn) ReadFrame(max int) (byte, []byte, error) {
 // WriteFrames implements Conn; on a *net.TCPConn the whole batch goes out
 // as one writev.
 func (n *NetConn) WriteFrames(bufs net.Buffers) (int64, error) {
-	return bufs.WriteTo(n.c)
+	return n.wv.Write(n.c, bufs)
+}
+
+// Writev is a Conn's reusable net.Buffers slot. net.Buffers.WriteTo takes
+// its receiver's address, so calling it on a WriteFrames argument moves
+// that argument to the heap on every write; calling it on a field of the
+// (already heap-resident) conn does not.
+type Writev struct{ v net.Buffers }
+
+// Write writes bufs to w as one coalesced write (a writev on a
+// *net.TCPConn). It clears bufs' entries afterwards, so neither the slot
+// nor the caller's slice pins a pooled frame.
+func (s *Writev) Write(w io.Writer, bufs net.Buffers) (int64, error) {
+	s.v = bufs
+	n, err := s.v.WriteTo(w)
+	clear(bufs)
+	s.v = nil
+	return n, err
 }
 
 // SetDeadline implements Conn.

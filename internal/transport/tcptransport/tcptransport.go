@@ -297,6 +297,9 @@ func (f *Fabric) serveConn(conn net.Conn) {
 	}()
 
 	nc := streamcore.NewNetConn(conn)
+	// Serve dispatches synchronously and decoders copy out of the frame,
+	// so once it returns the conn's buffers are free for the next accept.
+	defer nc.Release()
 	_, hello, err := nc.ReadFrame(maxFrameBytes)
 	if err != nil {
 		return

@@ -5,8 +5,10 @@
 // ("bin") replaces that with a hand-rolled little-endian wire form for the
 // hot messages — fixed headers, length-prefixed fields, bulk vector
 // copies, zero reflection — and keeps a gob envelope as the in-frame
-// fallback for cold messages (task specs, heartbeat reports,
-// assign-client), so every registered message still crosses.
+// fallback for cold messages (task specs, heartbeat reports, placement
+// and map refreshes), so every registered message still crosses. Nothing
+// a device check-in or session sends rides the envelope, including the
+// selector->coordinator assign-client hop.
 //
 // Hot messages register a hand-rolled encoder/decoder pair here via
 // BinaryMessage + RegisterBinary (internal/server owns the message types,

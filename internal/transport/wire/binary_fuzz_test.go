@@ -40,11 +40,23 @@ func FuzzBinaryDecode(f *testing.F) {
 		}
 		f.Add(frame)
 	}
-	respFrame, err := bin.AppendResponse(nil, &wire.Response{Payload: benchDownload(16)})
-	if err != nil {
+	assignReq, assignResp := benchAssign()
+	if frame, err := bin.AppendRequest(nil, assignReq); err != nil {
 		f.Fatal(err)
+	} else {
+		f.Add(frame)
 	}
-	f.Add(respFrame)
+	for _, resp := range []*wire.Response{
+		{Payload: benchDownload(16)},
+		assignResp,
+		{Payload: server.AssignClientResponse{}}, // rejected check-in
+	} {
+		frame, err := bin.AppendResponse(nil, resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 	f.Add([]byte{'P', 'B', 1, 1})
 	f.Add([]byte{'P', 'B', 1, 1, 0, 0, 24, 0xff, 0xff, 0xff, 0xff, 0x0f})
 

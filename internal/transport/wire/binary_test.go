@@ -2,7 +2,8 @@ package wire_test
 
 // Micro-benchmarks and allocation assertions for the binary codec's
 // hand-rolled forms versus its in-frame gob envelope on the two hottest
-// messages (UploadChunk requests, DownloadResponse responses), plus the
+// messages (UploadChunk requests, DownloadResponse responses) and on the
+// selector->coordinator assign-client pair every check-in makes, plus the
 // steady-state allocation contract
 // the pooling work exists for: bin encode into a reused buffer allocates
 // nothing, bin decode of an UploadChunk stays within 2 allocations
@@ -46,6 +47,18 @@ func benchDownload(n int) server.DownloadResponse {
 		params[i] = float32(i) * 0.01
 	}
 	return server.DownloadResponse{Params: params, Version: 9}
+}
+
+// benchAssign is a checkin-storm-shaped assign-client pair: a device with
+// two capabilities, answered with an assignment.
+func benchAssign() (*wire.Request, *wire.Response) {
+	req := &wire.Request{From: "selector-0", Method: "assign-client", Payload: server.AssignClientRequest{
+		ClientID: 90210, Capabilities: []string{"cap-3", "cap-11"},
+	}}
+	resp := &wire.Response{Payload: server.AssignClientResponse{
+		Assigned: true, TaskID: "storm-11", Aggregator: "aggregator-1", Seq: 3,
+	}}
+	return req, resp
 }
 
 // frameEncoder is the encode half both framings under comparison offer;
@@ -102,6 +115,48 @@ func BenchmarkDecodeUploadChunk(b *testing.B) {
 	}
 }
 
+func BenchmarkEncodeAssignClient(b *testing.B) {
+	req, resp := benchAssign()
+	for name, codec := range benchCodecs() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := codec.AppendRequest(nil, req); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := codec.AppendResponse(nil, resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeAssignClient(b *testing.B) {
+	req, resp := benchAssign()
+	for name, codec := range benchCodecs() {
+		reqFrame, err := codec.AppendRequest(nil, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		respFrame, err := codec.AppendResponse(nil, resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (wire.Binary{}).DecodeRequest(reqFrame); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := (wire.Binary{}).DecodeResponse(respFrame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkEncodeDownloadResponse(b *testing.B) {
 	resp := &wire.Response{Payload: benchDownload(1024)}
 	for name, codec := range benchCodecs() {
@@ -138,7 +193,8 @@ func BenchmarkDecodeDownloadResponse(b *testing.B) {
 // frame buffer, bin encodes the hot messages with zero allocations, and a
 // bin UploadChunk decode costs at most 2 (the *Request and the payload's
 // interface box) because the data vector is leased from vecpool and the
-// identifier strings are interned.
+// identifier strings are interned. The assign-client pair decodes in at
+// most 3 (request: plus its capability slice) and 2 (response).
 func TestBinarySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
@@ -186,20 +242,86 @@ func TestBinarySteadyStateAllocs(t *testing.T) {
 	if respAllocs > 0 {
 		t.Errorf("bin append-encode of DownloadResponse allocates %.0f times per run, want 0", respAllocs)
 	}
+
+	areq, aresp := benchAssign()
+	if n := testing.AllocsPerRun(200, func() {
+		out, err := bin.AppendRequest(buf[:0], areq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = bin.AppendResponse(out[:0], aresp); err != nil {
+			t.Fatal(err)
+		}
+		buf = out
+	}); n > 0 {
+		t.Errorf("bin append-encode of the assign-client pair allocates %.0f times per run, want 0", n)
+	}
+	reqFrame, err := bin.AppendRequest(nil, areq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respFrame, err := bin.AppendResponse(nil, aresp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := bin.DecodeRequest(reqFrame); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("bin decode of AssignClientRequest allocates %.0f times per run, want <= 3", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := bin.DecodeResponse(respFrame); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("bin decode of AssignClientResponse allocates %.0f times per run, want <= 2", n)
+	}
+}
+
+// TestSessionPathSkipsGob: nothing a device check-in or session sends —
+// including the selector->coordinator assign-client hop every check-in
+// makes — rides the in-frame gob envelope.
+func TestSessionPathSkipsGob(t *testing.T) {
+	msgs := []any{
+		server.CheckinRequest{ClientID: 1, Capabilities: []string{"lm"}},
+		server.CheckinResponse{Accepted: true, TaskID: "t"},
+		server.JoinRequest{TaskID: "t", ClientID: 1},
+		server.JoinResponse{Accepted: true},
+		server.DownloadRequest{TaskID: "t"},
+		benchDownload(4),
+		server.ReportRequest{TaskID: "t", Compress: []string{"none"}},
+		server.ReportResponse{OK: true, ChunkSize: 4096}, // SecAgg off
+		benchChunk(4),
+		server.UploadResponse{OK: true},
+		server.FailRequest{TaskID: "t"},
+		server.RouteRequest{TaskID: "t", Method: "upload-chunk", Payload: benchChunk(4)},
+		server.TaskInfo{Version: 1},
+		server.AssignClientRequest{ClientID: 1, Capabilities: []string{"lm"}},
+		server.AssignClientResponse{Assigned: true, TaskID: "t", Aggregator: "agg", Seq: 1},
+	}
+	for _, m := range msgs {
+		out, err := wire.AppendPayloadBinary(nil, m)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		if out[0] == wire.BinTagGob {
+			t.Errorf("%T rides the gob envelope", m)
+		}
+	}
 }
 
 // TestBinBeatsGob is the CI bench-compare gate: encode+decode of the two
-// hot messages must be faster in their hand-rolled forms than in the gob
-// envelope, or the fast path has regressed into a slow path and the build
-// fails.
+// hot messages, and of the assign-client pair, must be faster in their
+// hand-rolled forms than in the gob envelope, or the fast path has
+// regressed into a slow path and the build fails.
 func TestBinBeatsGob(t *testing.T) {
 	if os.Getenv("PAPAYA_BENCH_COMPARE") == "" {
 		t.Skip("set PAPAYA_BENCH_COMPARE=1 to run the codec bench-compare gate")
 	}
 	codecs := benchCodecs()
-	measure := func(codec frameEncoder) float64 {
-		req := &wire.Request{From: "client-7", Method: "upload-chunk", Payload: benchChunk(1024)}
-		resp := &wire.Response{Payload: benchDownload(1024)}
+	measure := func(codec frameEncoder, req *wire.Request, resp *wire.Response) float64 {
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				frame, err := codec.AppendRequest(nil, req)
@@ -222,11 +344,23 @@ func TestBinBeatsGob(t *testing.T) {
 		})
 		return float64(res.NsPerOp())
 	}
-	gobNs := measure(codecs["gob"])
-	binNs := measure(codecs["bin"])
-	t.Logf("hot-message encode+decode: gob %.0f ns/op, bin %.0f ns/op (%.1fx)", gobNs, binNs, gobNs/binNs)
-	if binNs >= gobNs {
-		t.Fatalf("bin (%.0f ns/op) is not faster than gob (%.0f ns/op)", binNs, gobNs)
+	assignReq, assignResp := benchAssign()
+	pairs := []struct {
+		name string
+		req  *wire.Request
+		resp *wire.Response
+	}{
+		{"upload-chunk+download", &wire.Request{From: "client-7", Method: "upload-chunk", Payload: benchChunk(1024)},
+			&wire.Response{Payload: benchDownload(1024)}},
+		{"assign-client", assignReq, assignResp},
+	}
+	for _, p := range pairs {
+		gobNs := measure(codecs["gob"], p.req, p.resp)
+		binNs := measure(codecs["bin"], p.req, p.resp)
+		t.Logf("%s encode+decode: gob %.0f ns/op, bin %.0f ns/op (%.1fx)", p.name, gobNs, binNs, gobNs/binNs)
+		if binNs >= gobNs {
+			t.Errorf("%s: bin (%.0f ns/op) is not faster than gob (%.0f ns/op)", p.name, binNs, gobNs)
+		}
 	}
 }
 

@@ -21,3 +21,6 @@ func (GobEnvelope) AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	dst = AppendString(dst, r.Kind)
 	return appendGobPayload(dst, r.Payload)
 }
+
+// BinTagGob is the payload tag of the in-frame gob envelope.
+const BinTagGob = binTagGob
